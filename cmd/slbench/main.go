@@ -82,7 +82,7 @@ func main() {
 	}
 	e, ok := bench.Lookup(*exp)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "slbench: unknown experiment %q (use -list)\n", *exp)
+		fmt.Fprintf(os.Stderr, "slbench: unknown experiment %q (known: %s)\n", *exp, strings.Join(bench.IDs(), ", "))
 		os.Exit(2)
 	}
 	fmt.Printf("=== %s — %s (%s) ===\n", e.ID, e.Title, e.Paper)

@@ -1,9 +1,11 @@
-// Command slbenchdiff compares a freshly measured benchmark artifact against
-// the committed baseline and fails on regressions in the gated eval-kernel
-// benchmarks. It is the CI bench-gate:
+// Command slbenchdiff compares a benchmark artifact against a baseline
+// artifact and fails on regressions in the gated eval-kernel benchmarks. It
+// is the CI bench-gate, which measures the merge-base and the head on the
+// same runner:
 //
-//	slbench -bench-out /tmp/current.json
-//	slbenchdiff -baseline BENCH_2026-08-08.json -current /tmp/current.json
+//	slbench-base -bench-out /tmp/base.json
+//	slbench-head -bench-out /tmp/head.json
+//	slbenchdiff -baseline /tmp/base.json -current /tmp/head.json
 //
 // Gated benchmarks fail the gate when ns/op grows beyond -max-regress
 // (default 15%) or allocs/op grows at all; improvements pass. A gated
@@ -23,7 +25,7 @@ import (
 
 func main() {
 	var (
-		baseline   = flag.String("baseline", "", "committed baseline artifact (BENCH_<date>.json)")
+		baseline   = flag.String("baseline", "", "baseline artifact, e.g. the merge-base measured on the same machine")
 		current    = flag.String("current", "", "freshly measured artifact to check")
 		maxRegress = flag.Float64("max-regress", benchfmt.DefaultMaxRegress, "allowed fractional ns/op growth on gated benchmarks")
 	)

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -156,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Evaluator = cluster
 	}
 
-	res, err := core.Run(ds, errVec, cfg)
+	res, err := core.Run(context.Background(), core.Input{DS: ds, E: errVec}, cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "sliceline:", err)
 		return 1

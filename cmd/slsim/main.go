@@ -69,6 +69,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		if !bytes.Equal(committed, buf.Bytes()) {
+			// A hand-edited or truncated file is a different failure than a
+			// simulator change; say which.
+			if _, err := sim.DecodeReport(bytes.NewReader(committed)); err != nil {
+				fmt.Fprintf(stderr, "slsim: %s is not a valid report: %v\n", *check, err)
+				return 1
+			}
 			fmt.Fprintf(stderr, "slsim: report drifted from %s — the scenario, the policy code, or the simulator changed; re-run with -out to refresh it\n", *check)
 			return 1
 		}

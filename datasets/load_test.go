@@ -1,14 +1,12 @@
 package datasets
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"sliceline/internal/core"
-	"sliceline/internal/frame"
 )
 
 const sampleCSV = `city,tier,income,label
@@ -109,20 +107,11 @@ func TestLoadCSVDeterministicSignature(t *testing.T) {
 	}
 }
 
-// TestLoadCSVFileRoundTrip writes a frame out through the CSV codec, reloads
-// it from disk, and verifies the encoding signature is stable across the
-// round trip.
+// TestLoadCSVFileRoundTrip writes the CSV to disk, reloads it with
+// LoadCSVFile, and verifies the encoding signature matches a direct load.
 func TestLoadCSVFileRoundTrip(t *testing.T) {
-	f, err := frame.ReadCSV(strings.NewReader(sampleCSV))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := frame.WriteCSV(&buf, f); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "sample.csv")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(sampleCSV), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

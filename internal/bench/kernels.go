@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -206,7 +207,7 @@ func RunSuite(seed int64) ([]benchfmt.Benchmark, error) {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(ds, wl.e, cfg); err != nil {
+				if _, err := core.Run(context.Background(), core.Input{DS: ds, E: wl.e}, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

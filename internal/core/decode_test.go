@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func TestDecodeUsesFeatureNamesAndLabels(t *testing.T) {
 			e[i] = 1 // color=red AND shape=square is the bad slice
 		}
 	}
-	res, err := Run(ds, e, Config{K: 1, Sigma: 2, Alpha: 0.9})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 1, Sigma: 2, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestDecodeUsesFeatureNamesAndLabels(t *testing.T) {
 func TestResultTSAndTR(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	ds, e := randomDataset(rng, 150, 3, 3)
-	res, err := Run(ds, e, Config{K: 5, Sigma: 3, Alpha: 0.9})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 5, Sigma: 3, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"sliceline/internal/frame"
 )
 
 // Diff slicing: given two error vectors for the same rows — a baseline
@@ -19,51 +17,46 @@ import (
 //	improvements: e⁻ = max(0, eBase − eNew)
 //
 // lowered onto the weighted enumeration path with unit weights, so each
-// direction is bit-identical to RunWeighted over that delta — the diff
+// direction is bit-identical to a weighted Run over that delta — the diff
 // differential proof. Rows whose error moved the other way contribute zero,
 // exactly like rows with zero error in a plain run.
 
-// RunDiff finds the top slices of model-behavior change between two error
-// vectors over the same dataset: slices where the new model regressed
-// (Slice.DiffSign = +1) and where it improved (DiffSign = -1). Both
-// directions are enumerated with the same configuration; the merged top-K
-// interleaves them by score. External evaluators are not supported (the
-// lowering is weighted); diff runs always evaluate locally.
-func RunDiff(ds *frame.Dataset, eBase, eNew []float64, cfg Config) (*Result, error) {
-	return RunDiffContext(context.Background(), ds, eBase, eNew, cfg)
-}
-
-// RunDiffContext is RunDiff with a caller-supplied context.
-func RunDiffContext(ctx context.Context, ds *frame.Dataset, eBase, eNew []float64, cfg Config) (*Result, error) {
-	enc, err := frame.OneHot(ds)
+// RunDiff finds the top slices of model-behavior change between a baseline
+// error vector eBase and in.E, the new model's errors over the same rows:
+// slices where the new model regressed (Slice.DiffSign = +1) and where it
+// improved (DiffSign = -1). Both directions are enumerated with the same
+// configuration; the merged top-K interleaves them by score. Row weights and
+// external evaluators are not supported (the lowering is weighted); diff
+// runs always evaluate locally.
+func RunDiff(ctx context.Context, in Input, eBase []float64, cfg Config) (*Result, error) {
+	enc, err := in.encoding()
 	if err != nil {
 		return nil, err
 	}
-	return RunDiffEncodedContext(ctx, enc, ds.Features, eBase, eNew, cfg)
-}
-
-// RunDiffEncodedContext is RunDiffContext for callers that already hold the
-// one-hot encoding.
-func RunDiffEncodedContext(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, eBase, eNew []float64, cfg Config) (*Result, error) {
 	n := enc.X.Rows()
 	if len(eBase) != n {
 		return nil, fmt.Errorf("core: baseline error vector length %d vs %d rows: %w", len(eBase), n, ErrBadErrorVector)
 	}
-	if len(eNew) != n {
-		return nil, fmt.Errorf("core: error vector length %d vs %d rows: %w", len(eNew), n, ErrBadErrorVector)
+	if len(in.E) != n {
+		return nil, fmt.Errorf("core: error vector length %d vs %d rows: %w", len(in.E), n, ErrBadErrorVector)
+	}
+	if in.W != nil {
+		return nil, fmt.Errorf("core: diff runs do not take row weights: %w", ErrBadWeight)
 	}
 	if cfg.Evaluator != nil {
 		return nil, fmt.Errorf("core: diff slicing %w", ErrWeightedEvaluator)
 	}
+	if err := ValidateVectors(eBase, nil); err != nil {
+		return nil, fmt.Errorf("core: baseline: %w", err)
+	}
+	if err := ValidateVectors(in.E, nil); err != nil {
+		return nil, err
+	}
 	reg := make([]float64, n)
 	imp := make([]float64, n)
 	ones := make([]float64, n)
-	for i := 0; i < n; i++ {
-		db, dn := eBase[i], eNew[i]
-		if math.IsNaN(db) || math.IsInf(db, 0) || math.IsNaN(dn) || math.IsInf(dn, 0) {
-			return nil, fmt.Errorf("core: non-finite error at row %d (base %v, new %v): %w", i, db, dn, ErrBadErrorVector)
-		}
-		if d := dn - db; d > 0 {
+	for i, eNew := range in.E {
+		if d := eNew - eBase[i]; d > 0 {
 			reg[i] = d
 		} else {
 			imp[i] = -d
@@ -71,11 +64,11 @@ func RunDiffEncodedContext(ctx context.Context, enc *frame.Encoding, feats []fra
 		ones[i] = 1
 	}
 	start := time.Now()
-	regRes, err := runEncoded(ctx, enc, feats, reg, ones, cfg, nil)
+	regRes, err := run(ctx, enc, in.DS.Features, reg, ones, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: diff regression direction: %w", err)
 	}
-	impRes, err := runEncoded(ctx, enc, feats, imp, ones, cfg, nil)
+	impRes, err := run(ctx, enc, in.DS.Features, imp, ones, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: diff improvement direction: %w", err)
 	}

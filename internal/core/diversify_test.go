@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestDiversifyDropsNearDuplicates(t *testing.T) {
 			e[i] = 1
 		}
 	}
-	res, err := Run(ds, e, Config{K: 4, Sigma: 5, Alpha: 0.9})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 4, Sigma: 5, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestDiversifyDropsNearDuplicates(t *testing.T) {
 func TestDiversifyKeepsDistinctSlices(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
 	ds, e := randomDataset(rng, 300, 4, 3)
-	res, err := Run(ds, e, Config{K: 8, Sigma: 4, Alpha: 0.9})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 8, Sigma: 4, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 )
 
 // Typed sentinel errors for input validation. Every validation failure of
-// Run/RunWeighted/RunEncoded wraps one of these, so callers can branch with
-// errors.Is instead of matching message strings:
+// Run, RunDiff and the incremental evaluator wraps one of these, so callers
+// can branch with errors.Is instead of matching message strings:
 //
 //	_, err := sliceline.Run(ds, e, cfg)
 //	if errors.Is(err, core.ErrBadErrorVector) { ... }
@@ -23,10 +23,10 @@ var (
 	// its encoding (including the zero-feature case).
 	ErrNoFeatures = errors.New("no usable features")
 	// ErrBadErrorVector marks an error vector with the wrong length or a
-	// negative entry.
+	// negative, NaN or infinite entry.
 	ErrBadErrorVector = errors.New("invalid error vector")
-	// ErrBadWeight marks a weight vector with the wrong length or a
-	// non-positive entry.
+	// ErrBadWeight marks a weight vector with the wrong length, a negative,
+	// NaN or infinite entry, or a non-positive total.
 	ErrBadWeight = errors.New("invalid weight vector")
 	// ErrWeightedEvaluator marks the unsupported combination of row weights
 	// with an external evaluator.
@@ -43,10 +43,10 @@ var (
 
 // Validate checks the statically checkable configuration fields, returning an
 // error wrapping one of the sentinel errors above, or nil. Zero values are
-// always valid (they select defaults), so Validate accepts Config{}.
-// Run and its variants call Validate before touching the data; callers
-// building configurations programmatically can call it earlier for a
-// fail-fast check.
+// always valid (they select defaults), so Validate accepts Config{}. Run,
+// RunDiff and NewIncremental call Validate before touching the data;
+// callers building configurations programmatically can call it earlier for
+// a fail-fast check.
 func (c Config) Validate() error {
 	if math.IsNaN(c.Alpha) || math.IsInf(c.Alpha, 0) {
 		return fmt.Errorf("core: Alpha = %v: %w", c.Alpha, ErrBadAlpha)

@@ -157,27 +157,21 @@ func buildBlockIndex(nCols int, cols [][]int, s0, s1 int) *blockIndex {
 	return bi
 }
 
-// scanRow streams one row of X through the index, incrementing per-slice
-// match counters and recording which slices were touched.
-func (bi *blockIndex) scanRow(cols []int) {
-	for _, c := range cols {
-		for _, s := range bi.postings[c] {
-			if bi.counts[s] == 0 {
-				bi.touched = append(bi.touched, s)
-			}
-			bi.counts[s]++
-		}
-	}
-}
-
-// evalBlockSerial scans the full partition once for slices [s0,s1), serially.
-func evalBlockSerial(x *matrix.CSR, e, w []float64, cols [][]int, L, s0, s1 int, ss, se, sm []float64) {
-	bi := buildBlockIndex(x.Cols(), cols, s0, s1)
-	n := x.Rows()
+// scanRows streams rows [lo,hi) of x through the index and accumulates the
+// statistics of every slice matching all L of its predicates into the
+// block-local ss/se/sm, in ascending row order.
+func (bi *blockIndex) scanRows(x *matrix.CSR, e, w []float64, L, lo, hi int, ss, se, sm []float64) {
 	want := int32(L)
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		rowCols, _ := x.RowEntries(i)
-		bi.scanRow(rowCols)
+		for _, c := range rowCols {
+			for _, s := range bi.postings[c] {
+				if bi.counts[s] == 0 {
+					bi.touched = append(bi.touched, s)
+				}
+				bi.counts[s]++
+			}
+		}
 		ei := e[i]
 		wi := 1.0
 		if w != nil {
@@ -185,17 +179,22 @@ func evalBlockSerial(x *matrix.CSR, e, w []float64, cols [][]int, L, s0, s1 int,
 		}
 		for _, s := range bi.touched {
 			if bi.counts[s] == want {
-				g := int(s) + s0
-				ss[g] += wi
-				se[g] += wi * ei
-				if wi > 0 && ei > sm[g] {
-					sm[g] = ei
+				ss[s] += wi
+				se[s] += wi * ei
+				if wi > 0 && ei > sm[s] {
+					sm[s] = ei
 				}
 			}
 			bi.counts[s] = 0
 		}
 		bi.touched = bi.touched[:0]
 	}
+}
+
+// evalBlockSerial scans the full partition once for slices [s0,s1), serially.
+func evalBlockSerial(x *matrix.CSR, e, w []float64, cols [][]int, L, s0, s1 int, ss, se, sm []float64) {
+	bi := buildBlockIndex(x.Cols(), cols, s0, s1)
+	bi.scanRows(x, e, w, L, 0, x.Rows(), ss[s0:s1], se[s0:s1], sm[s0:s1])
 }
 
 // evalBlockRowParallel evaluates one block with row-partitioned parallelism
@@ -224,7 +223,6 @@ func evalBlockRowParallel(x *matrix.CSR, e, w []float64, cols [][]int, L, s0, s1
 	chunk := (n + workers - 1) / workers
 	nChunks := (n + chunk - 1) / chunk
 	partials := make([]partial, nChunks)
-	want := int32(L)
 	var wg sync.WaitGroup
 	for c := 0; c < nChunks; c++ {
 		wg.Add(1)
@@ -235,32 +233,12 @@ func evalBlockRowParallel(x *matrix.CSR, e, w []float64, cols [][]int, L, s0, s1
 			if hi > n {
 				hi = n
 			}
-			bi := buildBlockIndex(x.Cols(), cols, s0, s1)
 			p := partial{
 				ss: make([]float64, width),
 				se: make([]float64, width),
 				sm: make([]float64, width),
 			}
-			for i := lo; i < hi; i++ {
-				rowCols, _ := x.RowEntries(i)
-				bi.scanRow(rowCols)
-				ei := e[i]
-				wi := 1.0
-				if w != nil {
-					wi = w[i]
-				}
-				for _, s := range bi.touched {
-					if bi.counts[s] == want {
-						p.ss[s] += wi
-						p.se[s] += wi * ei
-						if wi > 0 && ei > p.sm[s] {
-							p.sm[s] = ei
-						}
-					}
-					bi.counts[s] = 0
-				}
-				bi.touched = bi.touched[:0]
-			}
+			buildBlockIndex(x.Cols(), cols, s0, s1).scanRows(x, e, w, L, lo, hi, p.ss, p.se, p.sm)
 			partials[c] = p
 		}(c)
 	}
@@ -284,7 +262,6 @@ func evalBlockRowParallel(x *matrix.CSR, e, w []float64, cols [][]int, L, s0, s1
 // fused kernel above is the production path.
 func (st *state) evalDense(lv *level, L int) {
 	const chunk = 512
-	n := st.x.Rows()
 	// Zero-weight (retired) rows are excluded from the max tuple error; since
 	// e >= 0, zeroing their entries drops them from the column max.
 	smE := st.e
@@ -329,6 +306,5 @@ func (st *state) evalDense(lv *level, L int) {
 			lv.se[s] = seC[s-s0]
 			lv.sm[s] = smC[s-s0]
 		}
-		_ = n
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -151,7 +152,7 @@ func benchEvalRun(b *testing.B, dense bool, bitset BitsetMode) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(ds, e, cfg); err != nil {
+		if _, err := Run(context.Background(), Input{DS: ds, E: e}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

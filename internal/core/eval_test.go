@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -20,12 +21,12 @@ func TestDenseEvalMatchesFused(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ds, e := randomDataset(rng, 200, 4, 4)
 		cfg := Config{K: 6, Sigma: 3, Alpha: 0.9}
-		fused, err := Run(ds, e, cfg)
+		fused, err := Run(context.Background(), Input{DS: ds, E: e}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.DenseEval = true
-		dense, err := Run(ds, e, cfg)
+		dense, err := Run(context.Background(), Input{DS: ds, E: e}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestDenseEvalMatchesFused(t *testing.T) {
 func TestEvalPartitionAdditive(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	ds, e := randomDataset(rng, 300, 4, 3)
-	res, err := Run(ds, e, Config{K: 4, Sigma: 3, Alpha: 0.9})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 4, Sigma: 3, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,6 +173,9 @@ func NewIncremental(enc *frame.Encoding, feats []frame.Feature, e []float64, cfg
 	if len(e) != enc.X.Rows() {
 		return nil, fmt.Errorf("core: error vector length %d vs %d rows: %w", len(e), enc.X.Rows(), ErrBadErrorVector)
 	}
+	if err := ValidateVectors(e, nil); err != nil {
+		return nil, err
+	}
 	return &Incremental{
 		cfg:   cfg,
 		feats: append([]frame.Feature(nil), feats...),
@@ -206,7 +209,7 @@ func (inc *Incremental) Stats() IncrementalStats {
 // packed bitset is column-remapped if a feature domain grew, extended in
 // place with the appended rows, the memo rekeyed, and the new rows' errors
 // concatenated. errs must align with the batch (len == res.NewRows) and obey
-// the same e >= 0 contract as a batch run.
+// the same finite e >= 0 contract as a batch run.
 func (inc *Incremental) Append(res *frame.AppendResult, errs []float64) error {
 	if res == nil || res.Enc == nil {
 		return fmt.Errorf("core: nil append result")
@@ -214,10 +217,8 @@ func (inc *Incremental) Append(res *frame.AppendResult, errs []float64) error {
 	if len(errs) != res.NewRows {
 		return fmt.Errorf("core: %d errors for %d appended rows: %w", len(errs), res.NewRows, ErrBadErrorVector)
 	}
-	for i, v := range errs {
-		if v < 0 || v != v {
-			return fmt.Errorf("core: invalid error %v at appended row %d: %w", v, i, ErrBadErrorVector)
-		}
+	if err := ValidateVectors(errs, nil); err != nil {
+		return fmt.Errorf("core: appended rows: %w", err)
 	}
 	if res.Enc.X.Rows() != len(inc.e)+res.NewRows {
 		return fmt.Errorf("core: append result has %d rows, evaluator holds %d + %d new",
@@ -244,8 +245,8 @@ func (inc *Incremental) Append(res *frame.AppendResult, errs []float64) error {
 }
 
 // Run evaluates the current generation and returns its exact top-K. The
-// result is bit-identical to RunEncoded over the accumulated encoding with
+// result is bit-identical to Run over the accumulated encoding with
 // BitsetEval = BitsetOn.
 func (inc *Incremental) Run(ctx context.Context) (*Result, error) {
-	return runEncoded(ctx, inc.enc, inc.feats, inc.e, nil, inc.cfg, inc.memo)
+	return run(ctx, inc.enc, inc.feats, inc.e, nil, inc.cfg, inc.memo)
 }

@@ -138,7 +138,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			// sequential accumulation, the order the memo continues.
 			refCfg := cfg
 			refCfg.BitsetEval = BitsetOn
-			want, err := RunEncoded(ap.Encoding(), ap.Dataset().Features, e, refCfg)
+			want, err := Run(context.Background(), Input{DS: ap.Dataset(), Enc: ap.Encoding(), E: e}, refCfg)
 			if err != nil {
 				t.Fatalf("seed %d gen %d: reference run: %v", seed, gen, err)
 			}

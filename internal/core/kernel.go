@@ -134,12 +134,6 @@ func (k *Kernel) Eval(cols [][]int, level, blockSize int, ss, se, sm []float64) 
 	EvalPartitionWeighted(k.x, k.e, k.w, cols, level, blockSize, ss, se, sm)
 }
 
-// EvalBitset evaluates candidates against packed one-hot columns with unit
-// row weights. See EvalBitsetWeighted.
-func EvalBitset(cb *matrix.ColumnBits, e []float64, cols [][]int, ss, se, sm []float64) {
-	EvalBitsetWeighted(cb, e, nil, cols, ss, se, sm)
-}
-
 // EvalBitsetWeighted is the packed-bitset evaluation kernel: per candidate,
 // the bitsets of its one-hot columns are ANDed word-wise and the surviving
 // rows counted with OnesCount64 (slice sizes) and enumerated with
@@ -165,46 +159,66 @@ func EvalBitsetSerial(cb *matrix.ColumnBits, e, w []float64, cols [][]int, ss, s
 	evalBitsetRange(cb, e, w, cols, 0, len(cols), ss, se, sm)
 }
 
-// evalBitsetRange evaluates candidates [s0,s1). It performs no allocations:
-// the only state is the accumulator scalars and word cursors, so the hot
-// loop is AND → OnesCount64 → TrailingZeros64 over the packed words.
+// evalBitsetRange evaluates candidates [s0,s1), each as one full scan of
+// evalBitsetFrom from row 0. It performs no allocations.
 func evalBitsetRange(cb *matrix.ColumnBits, e, w []float64, cols [][]int, s0, s1 int, ss, se, sm []float64) {
-	words := cb.Words()
 	for s := s0; s < s1; s++ {
-		cand := cols[s]
-		nc := len(cand)
-		if nc == 0 {
-			continue
+		sumS, sumE, maxE := evalBitsetFrom(cb, e, w, cols[s], 0, 0, 0, 0)
+		ss[s] += sumS
+		se[s] += sumE
+		if maxE > sm[s] {
+			sm[s] = maxE
 		}
-		// Hoist the first three column slices; deeper conjunctions (rare —
-		// lattice levels beyond 3 have few surviving candidates) index the
-		// packed storage per word.
-		a := cb.Col(cand[0])
-		var b, c []uint64
-		if nc > 1 {
-			b = cb.Col(cand[1])
-		}
-		if nc > 2 {
-			c = cb.Col(cand[2])
-		}
-		var sumS, sumE, maxE float64
-		for k := 0; k < words; k++ {
-			m := a[k]
-			if m == 0 {
-				continue
-			}
-			if b != nil {
-				m &= b[k]
-				if c != nil && m != 0 {
-					m &= c[k]
-					for j := 3; j < nc && m != 0; j++ {
-						m &= cb.Col(cand[j])[k]
-					}
+	}
+}
+
+// evalBitsetFrom evaluates one candidate (original one-hot column ids over
+// the full-width packed matrix) for rows [from, cb.Rows()), seeded with the
+// accumulated statistics of rows [0, from). Seeding with a prior generation's
+// stored values and continuing in ascending row order produces the same
+// float64 addition sequence as one full sequential pass, so the result is
+// bit-identical to evaluating all rows from scratch — the property the
+// incremental evaluator's differential tests pin. (The one aggregate whose
+// addition grouping differs, the unweighted whole-word popcount into sumS,
+// stays exact because slice sizes are integers below 2^53.) from = 0 with
+// zero seeds is a plain full evaluation.
+//
+// The hot loop is AND → OnesCount64 → TrailingZeros64 over the packed words,
+// with no allocations: the only state is the accumulator scalars and word
+// cursors.
+func evalBitsetFrom(cb *matrix.ColumnBits, e, w []float64, cand []int, from int, seedSS, seedSE, seedSM float64) (float64, float64, float64) {
+	sumS, sumE, maxE := seedSS, seedSE, seedSM
+	nc := len(cand)
+	if nc == 0 || from >= cb.Rows() {
+		return sumS, sumE, maxE
+	}
+	words := cb.Words()
+	// Hoist the first three column slices; deeper conjunctions (rare —
+	// lattice levels beyond 3 have few surviving candidates) index the
+	// packed storage per word.
+	a := cb.Col(cand[0])
+	var b, c []uint64
+	if nc > 1 {
+		b = cb.Col(cand[1])
+	}
+	if nc > 2 {
+		c = cb.Col(cand[2])
+	}
+	// The first word drops the rows below from; every later word is loaded
+	// whole at the bottom of the loop.
+	k := from >> 6
+	m := a[k] & (^uint64(0) << uint(from&63))
+	for {
+		if m != 0 && b != nil {
+			m &= b[k]
+			if c != nil && m != 0 {
+				m &= c[k]
+				for j := 3; j < nc && m != 0; j++ {
+					m &= cb.Col(cand[j])[k]
 				}
 			}
-			if m == 0 {
-				continue
-			}
+		}
+		if m != 0 {
 			base := k << 6
 			if w == nil {
 				sumS += float64(bits.OnesCount64(m))
@@ -228,83 +242,9 @@ func evalBitsetRange(cb *matrix.ColumnBits, e, w []float64, cols [][]int, s0, s1
 				}
 			}
 		}
-		ss[s] += sumS
-		se[s] += sumE
-		if maxE > sm[s] {
-			sm[s] = maxE
+		if k++; k == words {
+			return sumS, sumE, maxE
 		}
+		m = a[k]
 	}
-}
-
-// evalBitsetFrom evaluates one candidate (original one-hot column ids over
-// the full-width packed matrix) for rows [from, cb.Rows()), seeded with the
-// accumulated statistics of rows [0, from). Seeding with a prior generation's
-// stored values and continuing in ascending row order produces the same
-// float64 addition sequence as one full sequential pass, so the result is
-// bit-identical to evaluating all rows from scratch — the property the
-// incremental evaluator's differential tests pin. (The one aggregate whose
-// addition grouping differs, the unweighted whole-word popcount into sumS,
-// stays exact because slice sizes are integers below 2^53.) from = 0 with
-// zero seeds is a plain full evaluation.
-func evalBitsetFrom(cb *matrix.ColumnBits, e, w []float64, cand []int, from int, seedSS, seedSE, seedSM float64) (float64, float64, float64) {
-	sumS, sumE, maxE := seedSS, seedSE, seedSM
-	nc := len(cand)
-	if nc == 0 || from >= cb.Rows() {
-		return sumS, sumE, maxE
-	}
-	words := cb.Words()
-	a := cb.Col(cand[0])
-	var b, c []uint64
-	if nc > 1 {
-		b = cb.Col(cand[1])
-	}
-	if nc > 2 {
-		c = cb.Col(cand[2])
-	}
-	w0 := from >> 6
-	mask0 := ^uint64(0) << uint(from&63)
-	for k := w0; k < words; k++ {
-		m := a[k]
-		if k == w0 {
-			m &= mask0
-		}
-		if m == 0 {
-			continue
-		}
-		if b != nil {
-			m &= b[k]
-			if c != nil && m != 0 {
-				m &= c[k]
-				for j := 3; j < nc && m != 0; j++ {
-					m &= cb.Col(cand[j])[k]
-				}
-			}
-		}
-		if m == 0 {
-			continue
-		}
-		base := k << 6
-		if w == nil {
-			sumS += float64(bits.OnesCount64(m))
-			for t := m; t != 0; t &= t - 1 {
-				ei := e[base+bits.TrailingZeros64(t)]
-				sumE += ei
-				if ei > maxE {
-					maxE = ei
-				}
-			}
-		} else {
-			for t := m; t != 0; t &= t - 1 {
-				i := base + bits.TrailingZeros64(t)
-				wi := w[i]
-				ei := e[i]
-				sumS += wi
-				sumE += wi * ei
-				if wi > 0 && ei > maxE {
-					maxE = ei
-				}
-			}
-		}
-	}
-	return sumS, sumE, maxE
 }

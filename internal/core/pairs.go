@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 )
 
 // group accumulates the per-candidate state of the deduplication matrix M of
@@ -295,34 +294,6 @@ func encodeCols(cols []int) string {
 		binary.LittleEndian.PutUint32(buf[4*k:], uint32(c))
 	}
 	return string(buf)
-}
-
-// sortLevel orders the slices of a level lexicographically by column list;
-// used by tests for deterministic comparison.
-func sortLevel(l *level) {
-	idx := make([]int, l.size())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return lessCols(l.cols[idx[a]], l.cols[idx[b]])
-	})
-	reorder := func(v []float64) []float64 {
-		out := make([]float64, len(v))
-		for k, i := range idx {
-			out[k] = v[i]
-		}
-		return out
-	}
-	cols := make([][]int, l.size())
-	for k, i := range idx {
-		cols[k] = l.cols[i]
-	}
-	l.cols = cols
-	l.sc = reorder(l.sc)
-	l.se = reorder(l.se)
-	l.sm = reorder(l.sm)
-	l.ss = reorder(l.ss)
 }
 
 // equalCols reports whether two sorted column lists denote the same slice.

@@ -68,23 +68,3 @@ func TestLessCols(t *testing.T) {
 		t.Error("ordering inverted")
 	}
 }
-
-func TestSortLevelDeterministic(t *testing.T) {
-	l := &level{
-		cols: [][]int{{2, 3}, {0, 1}, {1, 2}},
-		sc:   []float64{1, 2, 3},
-		se:   []float64{10, 20, 30},
-		sm:   []float64{0.1, 0.2, 0.3},
-		ss:   []float64{5, 6, 7},
-	}
-	sortLevel(l)
-	if !reflect.DeepEqual(l.cols, [][]int{{0, 1}, {1, 2}, {2, 3}}) {
-		t.Fatalf("cols = %v", l.cols)
-	}
-	if !reflect.DeepEqual(l.sc, []float64{2, 3, 1}) {
-		t.Fatalf("sc reordered wrongly: %v", l.sc)
-	}
-	if !reflect.DeepEqual(l.ss, []float64{6, 7, 5}) {
-		t.Fatalf("ss reordered wrongly: %v", l.ss)
-	}
-}

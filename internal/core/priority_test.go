@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -22,7 +23,7 @@ func TestPriorityEnumerationExact(t *testing.T) {
 		}
 		pCfg := cfg
 		pCfg.PriorityEnumeration = true
-		got, err := Run(ds, e, pCfg)
+		got, err := Run(context.Background(), Input{DS: ds, E: e}, pCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,12 +44,12 @@ func TestPriorityEnumerationNeverEvaluatesMore(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ds, e := randomDataset(rng, 250, 5, 3)
 		cfg := Config{K: 3, Sigma: 4, Alpha: 0.9}
-		plain, err := Run(ds, e, cfg)
+		plain, err := Run(context.Background(), Input{DS: ds, E: e}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.PriorityEnumeration = true
-		prio, err := Run(ds, e, cfg)
+		prio, err := Run(context.Background(), Input{DS: ds, E: e}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestPriorityWithScorePruningDisabled(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	ds, e := randomDataset(rng, 150, 4, 3)
 	cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, PriorityEnumeration: true, DisableScorePruning: true}
-	got, err := Run(ds, e, cfg)
+	got, err := Run(context.Background(), Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

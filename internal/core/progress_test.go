@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestOnLevelCallback(t *testing.T) {
 		K: 4, Sigma: 3, Alpha: 0.9,
 		OnLevel: func(ls LevelStats) { seen = append(seen, ls) },
 	}
-	res, err := Run(ds, e, cfg)
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

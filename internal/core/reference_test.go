@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -25,7 +26,7 @@ func TestReferenceMatchesOptimized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		opt, err := Run(ds, e, cfg)
+		opt, err := Run(context.Background(), Input{DS: ds, E: e}, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

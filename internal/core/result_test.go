@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -11,7 +12,7 @@ import (
 func TestResultJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(600))
 	ds, e := randomDataset(rng, 120, 3, 3)
-	res, err := Run(ds, e, Config{K: 4, Sigma: 3, Alpha: 0.9})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 4, Sigma: 3, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"sliceline/internal/frame"
@@ -43,74 +44,82 @@ type state struct {
 	totSq    float64    // Σ w_i·e_i², the global total behind welchP
 }
 
-// Run executes SliceLine (Algorithm 1) on an integer-encoded dataset and a
-// row-aligned non-negative error vector e, returning the top-K slices and
-// per-level enumeration statistics. The error vector typically comes from
-// ml.SquaredLoss or ml.Inaccuracy applied to a trained model's predictions.
-func Run(ds *frame.Dataset, e []float64, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), ds, e, cfg)
+// Input is the data of one enumeration run. DS supplies the feature names
+// and decode labels of the result; Enc, when non-nil, must be the one-hot
+// encoding of DS and saves re-encoding across parameter sweeps — when nil,
+// Run builds it with frame.OneHot(DS). E is the row-aligned error vector
+// (finite, e >= 0), typically ml.SquaredLoss or ml.Inaccuracy of a trained
+// model's predictions. W holds optional row weights (nil = unit weights):
+// row i counts as W[i] identical rows in every size and error aggregate, so
+// a dataset with duplicate rows can be deduplicated into (unique rows,
+// weights) and produces exactly the same top-K as its expanded form. Zero
+// weights are legal — a zero-weight row is excluded from every aggregate,
+// including the max tuple error, which is how windowed runs retire rows —
+// as long as the total weight is positive. Non-integer weights are permitted
+// (Slice.Size then reports the truncated weighted size).
+type Input struct {
+	DS  *frame.Dataset
+	Enc *frame.Encoding
+	E   []float64
+	W   []float64
 }
 
-// RunContext is Run with a caller-supplied context. Cancellation is honored
+// encoding returns in.Enc, one-hot encoding in.DS when it is nil.
+func (in Input) encoding() (*frame.Encoding, error) {
+	if in.DS == nil {
+		return nil, fmt.Errorf("core: Input.DS is nil: %w", ErrNoFeatures)
+	}
+	if in.Enc != nil {
+		return in.Enc, nil
+	}
+	return frame.OneHot(in.DS)
+}
+
+// Run executes SliceLine (Algorithm 1) on in and returns the top-K slices
+// and per-level enumeration statistics. Cancellation of ctx is honored
 // between lattice levels and propagated into external evaluators, so a
 // cancelled run aborts in-flight distributed evaluations instead of waiting
-// for the level to finish.
-func RunContext(ctx context.Context, ds *frame.Dataset, e []float64, cfg Config) (*Result, error) {
-	enc, err := frame.OneHot(ds)
+// for the level to finish. Row weights cannot be combined with an external
+// evaluator.
+func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
+	enc, err := in.encoding()
 	if err != nil {
 		return nil, err
 	}
-	return RunEncodedContext(ctx, enc, ds.Features, e, cfg)
+	return run(ctx, enc, in.DS.Features, in.E, in.W, cfg, nil)
 }
 
-// RunEncoded is Run for callers that already hold the one-hot encoding,
-// avoiding re-encoding across parameter sweeps. feats supplies names and
-// decode labels for the result; it must align with the encoding.
-func RunEncoded(enc *frame.Encoding, feats []frame.Feature, e []float64, cfg Config) (*Result, error) {
-	return runEncoded(context.Background(), enc, feats, e, nil, cfg, nil)
-}
-
-// RunEncodedContext is RunEncoded with a caller-supplied context.
-func RunEncodedContext(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e []float64, cfg Config) (*Result, error) {
-	return runEncoded(ctx, enc, feats, e, nil, cfg, nil)
-}
-
-// RunEncodedWeighted is RunWeighted for callers that already hold the one-hot
-// encoding. Weights may include zeros (rows excluded from every aggregate,
-// including the max tuple error) as long as the total weight is positive —
-// the mechanism behind windowed slice finding, where retired rows are
-// down-weighted to zero rather than re-encoding the surviving window.
-func RunEncodedWeighted(enc *frame.Encoding, feats []frame.Feature, e, w []float64, cfg Config) (*Result, error) {
-	return runEncoded(context.Background(), enc, feats, e, w, cfg, nil)
-}
-
-// RunEncodedWeightedContext is RunEncodedWeighted with a caller-supplied
-// context.
-func RunEncodedWeightedContext(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w []float64, cfg Config) (*Result, error) {
-	return runEncoded(ctx, enc, feats, e, w, cfg, nil)
-}
-
-// RunWeighted is Run for datasets with row weights: row i counts as w[i]
-// identical rows in every size and error aggregate, so a dataset with
-// duplicate rows can be deduplicated into (unique rows, weights) and
-// produces exactly the same top-K as its expanded form — useful for the
-// row-replication scaling setting of Figure 7(a) and for heavily skewed
-// production data. Weights must be positive; non-integer weights are
-// permitted (Slice.Size then reports the truncated weighted size).
-func RunWeighted(ds *frame.Dataset, e, w []float64, cfg Config) (*Result, error) {
-	return RunWeightedContext(context.Background(), ds, e, w, cfg)
-}
-
-// RunWeightedContext is RunWeighted with a caller-supplied context.
-func RunWeightedContext(ctx context.Context, ds *frame.Dataset, e, w []float64, cfg Config) (*Result, error) {
-	enc, err := frame.OneHot(ds)
-	if err != nil {
-		return nil, err
+// ValidateVectors checks a run's error vector and optional row weights:
+// every entry must be finite and non-negative, and a non-nil w must have a
+// positive total. Alignment with the data's row count is the caller's check.
+// Every entry point validates through it — Run, RunDiff, NewIncremental,
+// Incremental.Append and the server's dataset registration and append — so
+// a NaN or infinite error can never surface as a NaN score.
+func ValidateVectors(e, w []float64) error {
+	for i, v := range e {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("core: invalid error %v at row %d; SliceLine requires finite e >= 0: %w", v, i, ErrBadErrorVector)
+		}
 	}
-	return runEncoded(ctx, enc, ds.Features, e, w, cfg, nil)
+	if w == nil {
+		return nil
+	}
+	total := 0.0
+	for i, v := range w {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("core: invalid weight %v at row %d: %w", v, i, ErrBadWeight)
+		}
+		total += v
+	}
+	if total <= 0 {
+		return fmt.Errorf("core: total weight %v is not positive: %w", total, ErrBadWeight)
+	}
+	return nil
 }
 
-func runEncoded(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w []float64, cfg Config, memo *sliceMemo) (*Result, error) {
+// run is the enumeration behind Run, RunDiff and Incremental.Run; memo is
+// non-nil only for incremental runs.
+func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w []float64, cfg Config, memo *sliceMemo) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,31 +127,14 @@ func runEncoded(ctx context.Context, enc *frame.Encoding, feats []frame.Feature,
 	if len(e) != n {
 		return nil, fmt.Errorf("core: error vector length %d vs %d rows: %w", len(e), n, ErrBadErrorVector)
 	}
-	if w != nil {
-		if len(w) != n {
-			return nil, fmt.Errorf("core: weight vector length %d vs %d rows: %w", len(w), n, ErrBadWeight)
-		}
-		// Zero weights are legal — a zero-weight row is excluded from every
-		// aggregate (windowed runs retire rows this way) — but the total must
-		// stay positive so the scorer's n and ē are well defined.
-		totalW := 0.0
-		for i, v := range w {
-			if v < 0 || v != v {
-				return nil, fmt.Errorf("core: invalid weight %v at row %d: %w", v, i, ErrBadWeight)
-			}
-			totalW += v
-		}
-		if totalW <= 0 {
-			return nil, fmt.Errorf("core: total weight %v is not positive: %w", totalW, ErrBadWeight)
-		}
-		if cfg.Evaluator != nil {
-			return nil, fmt.Errorf("core: %w", ErrWeightedEvaluator)
-		}
+	if w != nil && len(w) != n {
+		return nil, fmt.Errorf("core: weight vector length %d vs %d rows: %w", len(w), n, ErrBadWeight)
 	}
-	for i, v := range e {
-		if v < 0 {
-			return nil, fmt.Errorf("core: negative error %v at row %d; SliceLine requires e >= 0: %w", v, i, ErrBadErrorVector)
-		}
+	if err := ValidateVectors(e, w); err != nil {
+		return nil, err
+	}
+	if w != nil && cfg.Evaluator != nil {
+		return nil, fmt.Errorf("core: %w", ErrWeightedEvaluator)
 	}
 	if len(feats) != enc.NumFeatures() {
 		return nil, fmt.Errorf("core: %d feature descriptors vs %d encoded features: %w", len(feats), enc.NumFeatures(), ErrNoFeatures)

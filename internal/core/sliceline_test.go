@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,7 +73,7 @@ func TestExactnessAgainstBruteForce(t *testing.T) {
 			Sigma: 2 + rng.Intn(10),
 			Alpha: 0.3 + 0.69*rng.Float64(),
 		}
-		got, err := Run(ds, e, cfg)
+		got, err := Run(context.Background(), Input{DS: ds, E: e}, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -95,7 +96,7 @@ func TestExactnessWithMaxLevel(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		ds, e := randomDataset(rng, 120, 5, 3)
 		cfg := Config{K: 4, Sigma: 3, Alpha: 0.9, MaxLevel: 2}
-		got, err := Run(ds, e, cfg)
+		got, err := Run(context.Background(), Input{DS: ds, E: e}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestPruningDoesNotChangeTopK(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		ds, e := randomDataset(rng, 100, 4, 3)
 		base := Config{K: 5, Sigma: 3, Alpha: 0.85}
-		ref, err := Run(ds, e, base)
+		ref, err := Run(context.Background(), Input{DS: ds, E: e}, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +128,7 @@ func TestPruningDoesNotChangeTopK(t *testing.T) {
 			{K: 5, Sigma: 3, Alpha: 0.85, DisableParentHandling: true, DisableScorePruning: true, DisableSizePruning: true, DisableDedup: true},
 		}
 		for vi, vc := range variants {
-			got, err := Run(ds, e, vc)
+			got, err := Run(context.Background(), Input{DS: ds, E: e}, vc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,11 +144,11 @@ func TestPruningDoesNotChangeTopK(t *testing.T) {
 func TestPruningReducesCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ds, e := randomDataset(rng, 200, 5, 3)
-	pruned, err := Run(ds, e, Config{K: 4, Sigma: 4, Alpha: 0.9})
+	pruned, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 4, Sigma: 4, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpruned, err := Run(ds, e, Config{
+	unpruned, err := Run(context.Background(), Input{DS: ds, E: e}, Config{
 		K: 4, Sigma: 4, Alpha: 0.9,
 		DisableParentHandling: true, DisableScorePruning: true,
 		DisableSizePruning: true, DisableDedup: true,
@@ -163,18 +164,18 @@ func TestPruningReducesCandidates(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ds, e := randomDataset(rng, 20, 2, 3)
-	if _, err := Run(ds, e[:10], Config{}); err == nil {
+	if _, err := Run(context.Background(), Input{DS: ds, E: e[:10]}, Config{}); err == nil {
 		t.Error("expected error for short error vector")
 	}
 	e[3] = -1
-	if _, err := Run(ds, e, Config{}); err == nil {
+	if _, err := Run(context.Background(), Input{DS: ds, E: e}, Config{}); err == nil {
 		t.Error("expected error for negative error value")
 	}
 }
 
 func TestRunEmptyDataset(t *testing.T) {
 	ds := &frame.Dataset{Name: "empty", X0: frame.NewIntMatrix(0, 1), Features: []frame.Feature{{Name: "f", Domain: 1}}}
-	if _, err := Run(ds, nil, Config{}); err == nil {
+	if _, err := Run(context.Background(), Input{DS: ds, E: nil}, Config{}); err == nil {
 		t.Error("expected error for empty dataset")
 	}
 }
@@ -182,7 +183,7 @@ func TestRunEmptyDataset(t *testing.T) {
 func TestRunDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ds, e := randomDataset(rng, 5000, 3, 4)
-	res, err := Run(ds, e, Config{})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestRunDefaults(t *testing.T) {
 func TestRunSigmaFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds, e := randomDataset(rng, 100, 2, 3)
-	res, err := Run(ds, e, Config{})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestResultSlicesRespectConstraints(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		ds, e := randomDataset(rng, 150, 4, 3)
 		cfg := Config{K: 8, Sigma: 5, Alpha: 0.9}
-		res, err := Run(ds, e, cfg)
+		res, err := Run(context.Background(), Input{DS: ds, E: e}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +251,7 @@ func TestResultSlicesRespectConstraints(t *testing.T) {
 func TestSliceStatsMatchDirectScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ds, e := randomDataset(rng, 300, 4, 4)
-	res, err := Run(ds, e, Config{K: 6, Sigma: 3, Alpha: 0.9})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 6, Sigma: 3, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestSliceStatsMatchDirectScan(t *testing.T) {
 func TestLevelStatsMonotoneElapsed(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ds, e := randomDataset(rng, 200, 5, 3)
-	res, err := Run(ds, e, Config{K: 4, Sigma: 3, Alpha: 0.9})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 4, Sigma: 3, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestLevelStatsMonotoneElapsed(t *testing.T) {
 func TestMaxCandidatesTruncates(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	ds, e := randomDataset(rng, 200, 6, 4)
-	res, err := Run(ds, e, Config{
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{
 		K: 4, Sigma: 1, Alpha: 0.99,
 		DisableSizePruning: true, DisableScorePruning: true,
 		DisableParentHandling: true, DisableDedup: true,
@@ -335,7 +336,7 @@ func TestBlockSizesAgree(t *testing.T) {
 	ds, e := randomDataset(rng, 250, 4, 4)
 	var ref []float64
 	for _, b := range []int{1, 2, 7, 16, 1 << 20} {
-		res, err := Run(ds, e, Config{K: 6, Sigma: 3, Alpha: 0.9, BlockSize: b})
+		res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 6, Sigma: 3, Alpha: 0.9, BlockSize: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +366,7 @@ func TestSingleFeatureDataset(t *testing.T) {
 			ds.X0.Set(i, 0, 2)
 		}
 	}
-	res, err := Run(ds, e, Config{K: 2, Sigma: 2, Alpha: 0.9})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 2, Sigma: 2, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestAlphaOneIgnoresSize(t *testing.T) {
 	// the highest average error meeting the support threshold.
 	rng := rand.New(rand.NewSource(17))
 	ds, e := randomDataset(rng, 150, 3, 3)
-	res, err := Run(ds, e, Config{K: 3, Sigma: 5, Alpha: 1})
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 3, Sigma: 5, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

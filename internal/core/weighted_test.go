@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,11 +26,11 @@ func TestWeightedEqualsReplicated(t *testing.T) {
 			w[i] = float64(k)
 		}
 		cfg := Config{K: 5, Sigma: 6, Alpha: 0.85}
-		replicated, err := Run(rep, repErr, cfg)
+		replicated, err := Run(context.Background(), Input{DS: rep, E: repErr}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		weighted, err := RunWeighted(ds, e, w, cfg)
+		weighted, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,11 +74,11 @@ func TestWeightedNonUniform(t *testing.T) {
 		Features: ds.Features,
 	}
 	cfg := Config{K: 5, Sigma: 4, Alpha: 0.85}
-	want, err := Run(expanded, expE, cfg)
+	want, err := Run(context.Background(), Input{DS: expanded, E: expE}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunWeighted(ds, e, w, cfg)
+	got, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,19 +94,19 @@ func TestWeightedValidation(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	if _, err := RunWeighted(ds, e, w[:10], Config{Sigma: 2}); err == nil {
+	if _, err := Run(context.Background(), Input{DS: ds, E: e, W: w[:10]}, Config{Sigma: 2}); err == nil {
 		t.Error("expected error for short weights")
 	}
 	w[5] = -1
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 2}); err == nil {
+	if _, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, Config{Sigma: 2}); err == nil {
 		t.Error("expected error for negative weight")
 	}
 	w[5] = 0
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 2}); err != nil {
+	if _, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, Config{Sigma: 2}); err != nil {
 		t.Errorf("zero weight among positives must be legal (windowed retirement): %v", err)
 	}
 	w[5] = 1
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 2, Evaluator: &faultyEvaluator{}}); err == nil {
+	if _, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, Config{Sigma: 2, Evaluator: &faultyEvaluator{}}); err == nil {
 		t.Error("expected error combining weights with external evaluator")
 	}
 }
@@ -120,12 +121,12 @@ func TestWeightedDenseEvalAgrees(t *testing.T) {
 		w[i] = float64(1 + rng.Intn(3))
 	}
 	cfg := Config{K: 4, Sigma: 4, Alpha: 0.85}
-	fused, err := RunWeighted(ds, e, w, cfg)
+	fused, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.DenseEval = true
-	dense, err := RunWeighted(ds, e, w, cfg)
+	dense, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

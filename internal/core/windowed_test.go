@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -35,11 +36,11 @@ func TestWindowedEqualsSuffixRun(t *testing.T) {
 			Features: ds.Features,
 		}
 		cfg := Config{K: 5, Sigma: 4, Alpha: 0.9, BitsetEval: BitsetOn}
-		windowed, err := RunWeighted(ds, e, w, cfg)
+		windowed, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: windowed: %v", trial, err)
 		}
-		want, err := Run(suffix, e[retire:], cfg)
+		want, err := Run(context.Background(), Input{DS: suffix, E: e[retire:]}, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: suffix: %v", trial, err)
 		}
@@ -114,13 +115,13 @@ func TestWindowedDenseEvalAgrees(t *testing.T) {
 		}
 	}
 	cfg := Config{K: 4, Sigma: 4, Alpha: 0.9}
-	fused, err := RunWeighted(ds, e, w, cfg)
+	fused, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dcfg := cfg
 	dcfg.DenseEval = true
-	dense, err := RunWeighted(ds, e, w, dcfg)
+	dense, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,21 +145,21 @@ func TestWeightValidation(t *testing.T) {
 		w[i] = 1
 	}
 	w[0] = 0
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 4}); err != nil {
+	if _, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, Config{Sigma: 4}); err != nil {
 		t.Fatalf("zero weight among positives must be legal: %v", err)
 	}
 	w[1] = -1
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
+	if _, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
 		t.Fatalf("negative weight: got %v, want ErrBadWeight", err)
 	}
 	w[1] = math.NaN()
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
+	if _, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
 		t.Fatalf("NaN weight: got %v, want ErrBadWeight", err)
 	}
 	for i := range w {
 		w[i] = 0
 	}
-	if _, err := RunWeighted(ds, e, w, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
+	if _, err := Run(context.Background(), Input{DS: ds, E: e, W: w}, Config{Sigma: 4}); !errors.Is(err, ErrBadWeight) {
 		t.Fatalf("all-zero weights: got %v, want ErrBadWeight", err)
 	}
 }

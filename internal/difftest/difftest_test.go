@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -194,7 +195,7 @@ func TestDiffTCPCluster(t *testing.T) {
 func TestDiffWeightedUnitEqualsUnweighted(t *testing.T) {
 	for _, seed := range Seeds(seedCount(20, 5)) {
 		c := Generate(seed, Defaults)
-		ref, err := core.Run(c.DS, c.E, c.Cfg)
+		ref, err := core.Run(context.Background(), core.Input{DS: c.DS, E: c.E}, c.Cfg)
 		if err != nil {
 			failf(t, "TestDiffWeightedUnitEqualsUnweighted", seed, "unweighted: %v", err)
 			continue
@@ -203,7 +204,7 @@ func TestDiffWeightedUnitEqualsUnweighted(t *testing.T) {
 		for i := range w {
 			w[i] = 1
 		}
-		got, err := core.RunWeighted(c.DS, c.E, w, c.Cfg)
+		got, err := core.Run(context.Background(), core.Input{DS: c.DS, E: c.E, W: w}, c.Cfg)
 		if err != nil {
 			failf(t, "TestDiffWeightedUnitEqualsUnweighted", seed, "weighted: %v", err)
 			continue
@@ -216,19 +217,19 @@ func TestDiffWeightedUnitEqualsUnweighted(t *testing.T) {
 
 // TestDiffWeightedEqualsReplicated: integer weights must be equivalent to
 // physically replicating each row weight-many times — the deduplicated
-// representation the RunWeighted API exists for.
+// representation weighted runs exist for.
 func TestDiffWeightedEqualsReplicated(t *testing.T) {
 	for _, seed := range Seeds(seedCount(20, 5)) {
 		o := Tiny
 		o.Weighted, o.IntWeights = true, true
 		c := Generate(seed, o)
-		wRes, err := core.RunWeighted(c.DS, c.E, c.W, c.Cfg)
+		wRes, err := core.Run(context.Background(), core.Input{DS: c.DS, E: c.E, W: c.W}, c.Cfg)
 		if err != nil {
 			failf(t, "TestDiffWeightedEqualsReplicated", seed, "weighted: %v", err)
 			continue
 		}
 		exp, expE := replicateByWeight(c)
-		rRes, err := core.Run(exp, expE, c.Cfg)
+		rRes, err := core.Run(context.Background(), core.Input{DS: exp, E: expE}, c.Cfg)
 		if err != nil {
 			failf(t, "TestDiffWeightedEqualsReplicated", seed, "replicated: %v", err)
 			continue
@@ -276,7 +277,7 @@ func TestDiffBitsetWeighted(t *testing.T) {
 		exp, expE := replicateByWeight(c)
 		cfg := c.Cfg
 		cfg.BitsetEval = core.BitsetOn
-		rRes, err := core.Run(exp, expE, cfg)
+		rRes, err := core.Run(context.Background(), core.Input{DS: exp, E: expE}, cfg)
 		if err != nil {
 			failf(t, "TestDiffBitsetWeighted", seed, "replicated bitset run: %v", err)
 			continue

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"testing"
 
 	"sliceline/internal/core"
@@ -21,7 +22,7 @@ func FuzzDiffBruteForce(f *testing.F) {
 		if err != nil {
 			t.Fatalf("brute force: %v", err)
 		}
-		got, err := core.Run(c.DS, c.E, c.Cfg)
+		got, err := core.Run(context.Background(), core.Input{DS: c.DS, E: c.E}, c.Cfg)
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"time"
@@ -30,10 +31,7 @@ func runBuiltin(c *Case, mutate func(*core.Config)) (*core.Result, error) {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	if c.W != nil {
-		return core.RunWeighted(c.DS, c.E, c.W, cfg)
-	}
-	return core.Run(c.DS, c.E, cfg)
+	return core.Run(context.Background(), core.Input{DS: c.DS, E: c.E, W: c.W}, cfg)
 }
 
 // BuiltinPlans enumerates the single-process execution plans of Section 4.4:
@@ -91,7 +89,7 @@ func LocalPlans() []Plan {
 				}
 				cfg := c.Cfg
 				cfg.Evaluator = ev
-				return core.Run(c.DS, c.E, cfg)
+				return core.Run(context.Background(), core.Input{DS: c.DS, E: c.E}, cfg)
 			}})
 		}
 	}
@@ -115,7 +113,7 @@ func ClusterPlans(workerCounts ...int) []Plan {
 			}
 			cfg := c.Cfg
 			cfg.Evaluator = cl
-			return core.Run(c.DS, c.E, cfg)
+			return core.Run(context.Background(), core.Input{DS: c.DS, E: c.E}, cfg)
 		}})
 	}
 	return plans
@@ -139,7 +137,7 @@ func BitsetClusterPlans(workerCounts ...int) []Plan {
 			}
 			cfg := c.Cfg
 			cfg.Evaluator = cl
-			return core.Run(c.DS, c.E, cfg)
+			return core.Run(context.Background(), core.Input{DS: c.DS, E: c.E}, cfg)
 		}})
 	}
 	return plans
@@ -194,7 +192,7 @@ func TCPPlansMode(mode core.BitsetMode, workerCounts ...int) []Plan {
 			defer cl.Close()
 			cfg := c.Cfg
 			cfg.Evaluator = cl
-			return core.Run(c.DS, c.E, cfg)
+			return core.Run(context.Background(), core.Input{DS: c.DS, E: c.E}, cfg)
 		}})
 	}
 	return plans
@@ -229,7 +227,7 @@ func ChaosPlans(seeds ...int64) []Plan {
 			defer cl.Close()
 			cfg := c.Cfg
 			cfg.Evaluator = cl
-			return core.Run(c.DS, c.E, cfg)
+			return core.Run(context.Background(), core.Input{DS: c.DS, E: c.E}, cfg)
 		}})
 	}
 	return plans

@@ -131,14 +131,14 @@ func TestDiffStreamingGenerations(t *testing.T) {
 			t.Fatalf("seed %d: NewIncremental: %v", seed, err)
 		}
 
-		curEnc, curFeats := sc.enc, sc.ds.Features
+		curDS, curEnc := sc.ds, sc.enc
 		check := func(gen int) {
 			got, err := inc.Run(ctx)
 			if err != nil {
 				failf(t, testName, seed, "generation %d: incremental run: %v", gen, err)
 				return
 			}
-			ref, err := core.RunEncoded(curEnc, curFeats, sc.e, sc.cfg)
+			ref, err := core.Run(ctx, core.Input{DS: curDS, Enc: curEnc, E: sc.e}, sc.cfg)
 			if err != nil {
 				failf(t, testName, seed, "generation %d: reference run: %v", gen, err)
 				return
@@ -148,7 +148,7 @@ func TestDiffStreamingGenerations(t *testing.T) {
 			}
 			autoCfg := sc.cfg
 			autoCfg.BitsetEval = core.BitsetAuto
-			alt, err := core.RunEncoded(curEnc, curFeats, sc.e, autoCfg)
+			alt, err := core.Run(ctx, core.Input{DS: curDS, Enc: curEnc, E: sc.e}, autoCfg)
 			if err != nil {
 				failf(t, testName, seed, "generation %d: auto-plan run: %v", gen, err)
 				return
@@ -177,7 +177,7 @@ func TestDiffStreamingGenerations(t *testing.T) {
 				break
 			}
 			sc.e = append(append([]float64(nil), sc.e...), errs...)
-			curEnc, curFeats = res.Enc, res.DS.Features
+			curDS, curEnc = res.DS, res.Enc
 			check(gen)
 			if gen2 := inc.Generation(); gen2 != gen {
 				t.Fatalf("seed %d: evaluator reports generation %d, want %d", seed, gen2, gen)

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,10 +27,7 @@ import (
 // runCase dispatches a case through the public batch entry point, weighted
 // when the case carries weights.
 func runCase(c *Case, cfg core.Config) (*core.Result, error) {
-	if c.W != nil {
-		return core.RunWeighted(c.DS, c.E, c.W, cfg)
-	}
-	return core.Run(c.DS, c.E, cfg)
+	return core.Run(context.Background(), core.Input{DS: c.DS, E: c.E, W: c.W}, cfg)
 }
 
 // TestWorkloadAnytimeGenerousBudget: with a budget the run cannot exhaust,
@@ -38,7 +36,7 @@ func runCase(c *Case, cfg core.Config) (*core.Result, error) {
 func TestWorkloadAnytimeGenerousBudget(t *testing.T) {
 	for _, seed := range Seeds(12) {
 		c := Generate(seed, Defaults)
-		batch, err := core.Run(c.DS, c.E, c.Cfg)
+		batch, err := core.Run(context.Background(), core.Input{DS: c.DS, E: c.E}, c.Cfg)
 		if err != nil {
 			t.Fatalf("seed %d: batch: %v\n%s", seed, err, ReproLine(t.Name(), seed))
 		}
@@ -47,7 +45,7 @@ func TestWorkloadAnytimeGenerousBudget(t *testing.T) {
 		anyCfg := c.Cfg
 		anyCfg.Budget = time.Hour
 		anyCfg.OnSnapshot = func(s core.Snapshot) { snaps = append(snaps, s) }
-		anyRes, err := core.Run(c.DS, c.E, anyCfg)
+		anyRes, err := core.Run(context.Background(), core.Input{DS: c.DS, E: c.E}, anyCfg)
 		if err != nil {
 			t.Fatalf("seed %d: anytime: %v\n%s", seed, err, ReproLine(t.Name(), seed))
 		}
@@ -90,7 +88,7 @@ func TestWorkloadAnytimeBudgetStop(t *testing.T) {
 		for _, budget := range []time.Duration{time.Nanosecond, 2 * time.Millisecond} {
 			anyCfg := c.Cfg
 			anyCfg.Budget = budget
-			anyRes, err := core.Run(c.DS, c.E, anyCfg)
+			anyRes, err := core.Run(context.Background(), core.Input{DS: c.DS, E: c.E}, anyCfg)
 			if err != nil {
 				t.Fatalf("seed %d: anytime(%v): %v\n%s", seed, budget, err, ReproLine(t.Name(), seed))
 			}
@@ -102,7 +100,7 @@ func TestWorkloadAnytimeBudgetStop(t *testing.T) {
 			stopped := anyRes.Levels[len(anyRes.Levels)-1].Level
 			batchCfg := c.Cfg
 			batchCfg.MaxLevel = stopped
-			batch, err := core.Run(c.DS, c.E, batchCfg)
+			batch, err := core.Run(context.Background(), core.Input{DS: c.DS, E: c.E}, batchCfg)
 			if err != nil {
 				t.Fatalf("seed %d: batch MaxLevel=%d: %v\n%s", seed, stopped, err, ReproLine(t.Name(), seed))
 			}
@@ -139,7 +137,7 @@ func TestWorkloadDiffEquivalence(t *testing.T) {
 			}
 		}
 
-		diff, err := core.RunDiff(c.DS, eBase, eNew, c.Cfg)
+		diff, err := core.RunDiff(context.Background(), core.Input{DS: c.DS, E: eNew}, eBase, c.Cfg)
 		if err != nil {
 			t.Fatalf("seed %d: RunDiff: %v\n%s", seed, err, ReproLine(t.Name(), seed))
 		}
@@ -152,11 +150,11 @@ func TestWorkloadDiffEquivalence(t *testing.T) {
 			imp[i] = math.Max(0, eBase[i]-eNew[i])
 			ones[i] = 1
 		}
-		regRes, err := core.RunWeighted(c.DS, reg, ones, c.Cfg)
+		regRes, err := core.Run(context.Background(), core.Input{DS: c.DS, E: reg, W: ones}, c.Cfg)
 		if err != nil {
 			t.Fatalf("seed %d: regression direction: %v\n%s", seed, err, ReproLine(t.Name(), seed))
 		}
-		impRes, err := core.RunWeighted(c.DS, imp, ones, c.Cfg)
+		impRes, err := core.Run(context.Background(), core.Input{DS: c.DS, E: imp, W: ones}, c.Cfg)
 		if err != nil {
 			t.Fatalf("seed %d: improvement direction: %v\n%s", seed, err, ReproLine(t.Name(), seed))
 		}

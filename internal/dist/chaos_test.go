@@ -68,7 +68,7 @@ func chaosRef(t *testing.T, ds *frame.Dataset, e []float64, cfg core.Config, wor
 	}
 	c := cfg
 	c.Evaluator = cl
-	ref, err := core.Run(ds, e, c)
+	ref, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestChaosMatrix(t *testing.T) {
 			c := cfg
 			c.Evaluator = cl
 			start := time.Now()
-			got, err := core.Run(ds, e, c)
+			got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 			elapsed := time.Since(start)
 			if err != nil {
 				t.Fatalf("chaos run: %v", err)
@@ -194,7 +194,7 @@ func TestChaosSeededSweep(t *testing.T) {
 		}
 		c := cfg
 		c.Evaluator = cl
-		got, err := core.Run(ds, e, c)
+		got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -227,7 +227,7 @@ func TestChaosAdaptiveHedging(t *testing.T) {
 	c := cfg
 	c.Evaluator = cl
 	start := time.Now()
-	got, err := core.Run(ds, e, c)
+	got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestChaosHeartbeatReships(t *testing.T) {
 	c.Evaluator = cl
 	// Give the prober time to strike out the worker between levels.
 	c.OnLevel = func(core.LevelStats) { time.Sleep(60 * time.Millisecond) }
-	got, err := core.Run(ds, e, c)
+	got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestChaosHeartbeatReships(t *testing.T) {
 func TestChaosMatchesBuiltinPlan(t *testing.T) {
 	ds, e := chaosDataset(34, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	builtin, err := core.Run(ds, e, cfg)
+	builtin, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestChaosMatchesBuiltinPlan(t *testing.T) {
 	}
 	c := cfg
 	c.Evaluator = cl
-	got, err := core.Run(ds, e, c)
+	got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestChaosAllWorkersFaulty(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{K: 4, Sigma: 3, Alpha: 0.9, Evaluator: cl}
-	_, err = core.Run(ds, e, cfg)
+	_, err = core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err == nil {
 		t.Fatal("expected error when every worker is faulty")
 	}
@@ -385,7 +385,7 @@ func TestChaosFlappyTransport(t *testing.T) {
 	}
 	c := cfg
 	c.Evaluator = cl
-	got, err := core.Run(ds, e, c)
+	got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 	if err != nil {
 		t.Fatalf("run over flappy transport: %v", err)
 	}
@@ -411,7 +411,7 @@ func TestChaosCancellation(t *testing.T) {
 	defer cancel()
 	cfg := core.Config{K: 4, Sigma: 3, Alpha: 0.9, Evaluator: cl}
 	start := time.Now()
-	_, err = core.RunContext(ctx, ds, e, cfg)
+	_, err = core.Run(ctx, core.Input{DS: ds, E: e}, cfg)
 	if err == nil {
 		t.Fatal("expected error from cancelled run")
 	}

@@ -50,7 +50,7 @@ func TestLocalStrategiesMatchBuiltin(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ds, e := randomDataset(rng, 300, 4, 4)
 	cfg := core.Config{K: 6, Sigma: 3, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestLocalStrategiesMatchBuiltin(t *testing.T) {
 		}
 		c := cfg
 		c.Evaluator = ev
-		got, err := core.Run(ds, e, c)
+		got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
@@ -81,7 +81,7 @@ func TestInProcessClusterMatchesBuiltin(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds, e := randomDataset(rng, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestInProcessClusterMatchesBuiltin(t *testing.T) {
 		}
 		c := cfg
 		c.Evaluator = cl
-		got, err := core.Run(ds, e, c)
+		got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 		if err != nil {
 			t.Fatalf("%d workers: %v", nWorkers, err)
 		}
@@ -148,7 +148,7 @@ func TestTCPClusterMatchesBuiltin(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds, e := randomDataset(rng, 500, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestTCPClusterMatchesBuiltin(t *testing.T) {
 
 	c := cfg
 	c.Evaluator = cl
-	got, err := core.Run(ds, e, c)
+	got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestClusterSurfacesWorkerFailure(t *testing.T) {
 	workers[0].Close()
 	workers[1].Close()
 	cfg := core.Config{K: 4, Sigma: 3, Alpha: 0.9, Evaluator: cl}
-	if _, err := core.Run(ds, e, cfg); err == nil {
+	if _, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg); err == nil {
 		t.Fatal("expected error from dead cluster")
 	}
 }

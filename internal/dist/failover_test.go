@@ -46,7 +46,7 @@ func TestClusterFailoverMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ds, e := randomDataset(rng, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestClusterFailoverMidRun(t *testing.T) {
 	}
 	c := cfg
 	c.Evaluator = &killAfterSetup{Cluster: cl2, victim: wb}
-	got, err := core.Run(ds, e, c)
+	got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestClusterWorkerDeathMidLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ds, e := randomDataset(rng, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestClusterWorkerDeathMidLevel(t *testing.T) {
 	}
 	c := cfg
 	c.Evaluator = cl
-	got, err := core.Run(ds, e, c)
+	got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestClusterPartialResultsEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ds, e := randomDataset(rng, 300, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestClusterPartialResultsEndToEnd(t *testing.T) {
 	}
 	c := cfg
 	c.Evaluator = cl
-	got, err := core.Run(ds, e, c)
+	got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestTCPWorkerRestartMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ds, e := randomDataset(rng, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestTCPWorkerRestartMidRun(t *testing.T) {
 		srv0.Stop()
 		srv0b = restartServer(t, addr0)
 	}
-	got, err := core.Run(ds, e, c)
+	got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 	if srv0b != nil {
 		defer srv0b.Stop()
 	}
@@ -480,7 +480,7 @@ func TestTCPWorkerDeathMidRunFailsOver(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ds, e := randomDataset(rng, 400, 4, 4)
 	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestTCPWorkerDeathMidRunFailsOver(t *testing.T) {
 			srv0.Stop()
 		}
 	}
-	got, err := core.Run(ds, e, c)
+	got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 	if err != nil {
 		t.Fatalf("run with mid-run death: %v", err)
 	}

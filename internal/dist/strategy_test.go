@@ -176,7 +176,7 @@ func TestStrategiesBlockSizeExceedsCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	ds, e := randomDataset(rng, 200, 3, 3)
 	cfg := core.Config{K: 4, Sigma: 3, Alpha: 0.9}
-	ref, err := core.Run(ds, e, cfg)
+	ref, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestStrategiesBlockSizeExceedsCandidates(t *testing.T) {
 	for name, ev := range evals {
 		c := cfg
 		c.Evaluator = ev
-		got, err := core.Run(ds, e, c)
+		got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -7,6 +7,7 @@ package dist_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -64,7 +65,7 @@ func TestDistTracingUnderFaults(t *testing.T) {
 		K: 4, Sigma: 4, Alpha: 0.9,
 		Evaluator: cl, Tracer: tr, Metrics: reg,
 	}
-	res, err := core.Run(ds, e, cfg)
+	res, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

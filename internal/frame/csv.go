@@ -59,47 +59,3 @@ func ReadCSV(r io.Reader) (*Frame, error) {
 	}
 	return NewFrame(cols)
 }
-
-// WriteCSV renders a frame as CSV with a header row.
-func WriteCSV(w io.Writer, f *Frame) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, f.NumCols())
-	for j, c := range f.Columns() {
-		header[j] = c.Name
-	}
-	if err := writeRecord(cw, w, header); err != nil {
-		return fmt.Errorf("frame: writing csv header: %w", err)
-	}
-	rec := make([]string, f.NumCols())
-	for i := 0; i < f.NumRows(); i++ {
-		for j, c := range f.Columns() {
-			if c.Kind == Categorical {
-				rec[j] = c.Strings[i]
-			} else {
-				rec[j] = strconv.FormatFloat(c.Floats[i], 'g', -1, 64)
-			}
-		}
-		if err := writeRecord(cw, w, rec); err != nil {
-			return fmt.Errorf("frame: writing csv row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// writeRecord writes one CSV record, working around an encoding/csv
-// asymmetry: the writer renders a record holding a single empty field as a
-// blank line, which the reader then skips entirely — a one-column frame with
-// an empty name or empty cells would silently lose rows across a round
-// trip. Such records are written as an explicitly quoted empty field.
-func writeRecord(cw *csv.Writer, w io.Writer, rec []string) error {
-	if len(rec) == 1 && rec[0] == "" {
-		cw.Flush()
-		if err := cw.Error(); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, "\"\"\n")
-		return err
-	}
-	return cw.Write(rec)
-}

@@ -2,7 +2,10 @@ package frame
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -56,6 +59,50 @@ func TestReadCSVEmptyCellForcesCategorical(t *testing.T) {
 	}
 }
 
+// writeCSV renders a frame as CSV with a header row: the write half of the
+// round trips that pin ReadCSV's normalization.
+func writeCSV(w io.Writer, f *Frame) error {
+	cw := csv.NewWriter(w)
+	header := make([]string, f.NumCols())
+	for j, c := range f.Columns() {
+		header[j] = c.Name
+	}
+	if err := writeRecord(cw, w, header); err != nil {
+		return err
+	}
+	rec := make([]string, f.NumCols())
+	for i := 0; i < f.NumRows(); i++ {
+		for j, c := range f.Columns() {
+			if c.Kind == Categorical {
+				rec[j] = c.Strings[i]
+			} else {
+				rec[j] = strconv.FormatFloat(c.Floats[i], 'g', -1, 64)
+			}
+		}
+		if err := writeRecord(cw, w, rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// writeRecord writes one CSV record, working around an encoding/csv
+// asymmetry: the writer renders a record holding a single empty field as a
+// blank line, which the reader then skips entirely. Such records are written
+// as an explicitly quoted empty field.
+func writeRecord(cw *csv.Writer, w io.Writer, rec []string) error {
+	if len(rec) == 1 && rec[0] == "" {
+		cw.Flush()
+		if err := cw.Error(); err != nil {
+			return err
+		}
+		_, err := io.WriteString(w, "\"\"\n")
+		return err
+	}
+	return cw.Write(rec)
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	orig, err := NewFrame([]Column{
 		{Name: "cat", Kind: Categorical, Strings: []string{"x", "y"}},
@@ -65,7 +112,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, orig); err != nil {
+	if err := writeCSV(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadCSV(&buf)

@@ -1,9 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // ColumnBits is a packed column-major bitset view of a 0/1 matrix: bit i of
 // column c is set exactly when row i stores a nonzero in column c. Each
@@ -57,9 +54,6 @@ func (cb *ColumnBits) Cols() int { return cb.cols }
 // Words returns the number of 64-bit words per column.
 func (cb *ColumnBits) Words() int { return cb.words }
 
-// MemBytes returns the size of the packed bit storage in bytes.
-func (cb *ColumnBits) MemBytes() int64 { return int64(len(cb.bits)) * 8 }
-
 // Col returns the packed words of column c, aliasing the internal storage.
 // Callers must not mutate the returned slice.
 func (cb *ColumnBits) Col(c int) []uint64 {
@@ -67,40 +61,4 @@ func (cb *ColumnBits) Col(c int) []uint64 {
 		panic(fmt.Sprintf("matrix: ColumnBits column %d out of bounds %d", c, cb.cols))
 	}
 	return cb.bits[c*cb.words : (c+1)*cb.words]
-}
-
-// Bit reports whether row i is set in column c.
-func (cb *ColumnBits) Bit(c, i int) bool {
-	if i < 0 || i >= cb.rows {
-		panic(fmt.Sprintf("matrix: ColumnBits row %d out of bounds %d", i, cb.rows))
-	}
-	return cb.Col(c)[i>>6]&(uint64(1)<<uint(i&63)) != 0
-}
-
-// CountCol returns the popcount of column c (the column's nonzero count).
-func (cb *ColumnBits) CountCol(c int) int {
-	n := 0
-	for _, w := range cb.Col(c) {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// CountAnd returns the number of rows set in every one of the given columns
-// — the size of the slice defined by that conjunction of one-hot predicates.
-// An empty column list returns 0.
-func (cb *ColumnBits) CountAnd(cols []int) int {
-	if len(cols) == 0 {
-		return 0
-	}
-	a := cb.Col(cols[0])
-	n := 0
-	for k := 0; k < cb.words; k++ {
-		w := a[k]
-		for j := 1; j < len(cols) && w != 0; j++ {
-			w &= cb.Col(cols[j])[k]
-		}
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

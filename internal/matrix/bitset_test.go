@@ -1,9 +1,22 @@
 package matrix
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
+
+// bit reports whether bit i of packed column c is set.
+func bit(cb *ColumnBits, c, i int) bool { return cb.Col(c)[i>>6]>>uint(i&63)&1 == 1 }
+
+// popcount returns the number of set bits of packed column c.
+func popcount(cb *ColumnBits, c int) int {
+	n := 0
+	for _, w := range cb.Col(c) {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // randomCSR01 builds a random 0/1 CSR matrix with the given density,
 // optionally planting explicit stored zeros (which PackColumns must skip,
@@ -21,29 +34,6 @@ func randomCSR01(rng *rand.Rand, rows, cols int, density float64, storedZeros bo
 		}
 	}
 	return CSRFromTriples(rows, cols, ts)
-}
-
-// naiveMembership counts rows with a nonzero in every one of the columns by
-// scanning the matrix row by row — the specification CountAnd and the packed
-// kernel must match exactly.
-func naiveMembership(x *CSR, cols []int) int {
-	if len(cols) == 0 {
-		return 0
-	}
-	n := 0
-	for i := 0; i < x.rows; i++ {
-		all := true
-		for _, c := range cols {
-			if x.At(i, c) == 0 {
-				all = false
-				break
-			}
-		}
-		if all {
-			n++
-		}
-	}
-	return n
 }
 
 // TestPackColumnsMatchesCSR: every bit of the packed form equals the dense
@@ -66,7 +56,7 @@ func TestPackColumnsMatchesCSR(t *testing.T) {
 		for c := 0; c < sh.cols; c++ {
 			for i := 0; i < sh.rows; i++ {
 				want := x.At(i, c) != 0
-				if got := cb.Bit(c, i); got != want {
+				if got := bit(cb, c, i); got != want {
 					t.Fatalf("%dx%d: bit (%d,%d) = %v, want %v", sh.rows, sh.cols, c, i, got, want)
 				}
 			}
@@ -84,51 +74,13 @@ func TestPackColumnsRaggedTailZero(t *testing.T) {
 			ts = append(ts, Triple{Row: i, Col: 0, Val: 1})
 		}
 		cb := PackColumns(CSRFromTriples(rows, 1, ts))
-		if got := cb.CountCol(0); got != rows {
+		if got := popcount(cb, 0); got != rows {
 			t.Fatalf("rows=%d: all-ones column popcount %d", rows, got)
 		}
 		last := cb.Col(0)[cb.Words()-1]
 		if tail := rows % 64; tail != 0 {
 			if last>>uint(tail) != 0 {
 				t.Fatalf("rows=%d: bits set past the last row in tail word %064b", rows, last)
-			}
-		}
-	}
-}
-
-// TestCountAndMatchesNaive: AND+popcount membership counting equals the
-// naive per-row scan for random matrices and random column conjunctions,
-// including empty columns (no set bits) and empty conjunctions.
-func TestCountAndMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 50; trial++ {
-		rows := 1 + rng.Intn(300)
-		cols := 2 + rng.Intn(10)
-		x := randomCSR01(rng, rows, cols, []float64{0.02, 0.2, 0.7}[trial%3], trial%2 == 0)
-		cb := PackColumns(x)
-		if cb.CountAnd(nil) != 0 {
-			t.Fatal("empty conjunction must count 0 rows")
-		}
-		for sub := 0; sub < 10; sub++ {
-			maxK := 4
-			if cols < maxK {
-				maxK = cols
-			}
-			k := 1 + rng.Intn(maxK)
-			cand := make([]int, 0, k)
-			for len(cand) < k {
-				c := rng.Intn(cols)
-				dup := false
-				for _, have := range cand {
-					dup = dup || have == c
-				}
-				if !dup {
-					cand = append(cand, c)
-				}
-			}
-			want := naiveMembership(x, cand)
-			if got := cb.CountAnd(cand); got != want {
-				t.Fatalf("trial %d (%dx%d): CountAnd(%v) = %d, want %d", trial, rows, cols, cand, got, want)
 			}
 		}
 	}
@@ -142,11 +94,11 @@ func TestPackColumnsEmptyAndDegenerate(t *testing.T) {
 		if cb.Rows() != sh.rows || cb.Cols() != sh.cols {
 			t.Fatalf("%dx%d: packed shape %dx%d", sh.rows, sh.cols, cb.Rows(), cb.Cols())
 		}
-		if cb.MemBytes() != int64(sh.cols*((sh.rows+63)/64))*8 {
-			t.Fatalf("%dx%d: MemBytes %d", sh.rows, sh.cols, cb.MemBytes())
+		if want := (sh.rows + 63) / 64; cb.Words() != want {
+			t.Fatalf("%dx%d: %d words per column, want %d", sh.rows, sh.cols, cb.Words(), want)
 		}
 		for c := 0; c < sh.cols; c++ {
-			if cb.CountCol(c) != 0 {
+			if popcount(cb, c) != 0 {
 				t.Fatalf("%dx%d: empty matrix has set bits in column %d", sh.rows, sh.cols, c)
 			}
 		}
@@ -154,8 +106,8 @@ func TestPackColumnsEmptyAndDegenerate(t *testing.T) {
 }
 
 // FuzzBitsetPack feeds arbitrary byte strings as matrix shapes and cell
-// contents and asserts PackColumns agrees with the CSR view bit-for-bit,
-// plus the CountAnd-vs-naive-scan property on the first columns.
+// contents and asserts PackColumns agrees with the CSR view bit-for-bit and
+// in per-column popcounts.
 func FuzzBitsetPack(f *testing.F) {
 	f.Add(uint16(65), uint8(3), []byte{0x01, 0x80, 0xff, 0x00})
 	f.Add(uint16(64), uint8(1), []byte{0xaa})
@@ -182,20 +134,16 @@ func FuzzBitsetPack(f *testing.F) {
 			count := 0
 			for i := 0; i < rows; i++ {
 				want := x.At(i, c) != 0
-				if cb.Bit(c, i) != want {
+				if bit(cb, c, i) != want {
 					t.Fatalf("bit (%d,%d) mismatch", c, i)
 				}
 				if want {
 					count++
 				}
 			}
-			if cb.CountCol(c) != count {
-				t.Fatalf("column %d popcount %d, want %d", c, cb.CountCol(c), count)
+			if got := popcount(cb, c); got != count {
+				t.Fatalf("column %d popcount %d, want %d", c, got, count)
 			}
-		}
-		pair := []int{0, cols - 1}
-		if got, want := cb.CountAnd(pair), naiveMembership(x, pair); got != want {
-			t.Fatalf("CountAnd(%v) = %d, want %d", pair, got, want)
 		}
 	})
 }

@@ -6,6 +6,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -52,7 +53,7 @@ func (o Options) withDefaults() Options {
 // Generate runs slice finding on (ds, e) and writes the Markdown report.
 func Generate(w io.Writer, ds *frame.Dataset, e []float64, opt Options) error {
 	opt = opt.withDefaults()
-	res, err := core.Run(ds, e, core.Config{
+	res, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, core.Config{
 		K: opt.K, Alpha: opt.Alpha, Sigma: opt.Sigma, MaxLevel: opt.MaxLevel,
 	})
 	if err != nil {

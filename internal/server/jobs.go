@@ -317,6 +317,7 @@ func (s *Server) cancelJob(j *job) jobState {
 	if st == jobQueued {
 		j.state = jobCancelled
 		j.errMsg = "cancelled while queued"
+		jerr := s.journal.saveJobLocked(j)
 		j.mu.Unlock()
 		if j.cancel != nil {
 			j.cancel()
@@ -325,7 +326,7 @@ func (s *Server) cancelJob(j *job) jobState {
 		close(j.done)
 		s.ob.cancelled.Inc()
 		s.ob.queueDepth.Add(-1)
-		s.journalFailed("cancel", s.journal.saveJob(j))
+		s.journalFailed("cancel", jerr)
 		return jobCancelled
 	}
 	// Running: cancel the context; the worker observes the enumeration
@@ -406,6 +407,9 @@ func (s *Server) finishJob(j *job, res *core.Result, err error) {
 		j.resultJSON = js
 		j.gen = j.snap.Gen
 	}
+	// Journal the terminal state before any reader can observe it: a
+	// client that saw the job finish must find it finished after a restart.
+	jerr := s.journal.saveJobLocked(j)
 	j.mu.Unlock()
 
 	if st == jobDone {
@@ -421,7 +425,7 @@ func (s *Server) finishJob(j *job, res *core.Result, err error) {
 	}
 	j.events.finish(string(st), msg)
 	close(j.done)
-	s.journalFailed("finish", s.journal.saveJob(j))
+	s.journalFailed("finish", jerr)
 }
 
 // journalErrorLogWindow spaces journal-failure log lines: a dead disk fails
@@ -525,17 +529,17 @@ func (s *Server) runJobReal(ctx context.Context, j *job) (*core.Result, error) {
 			cfg.Evaluator = cluster
 		}
 	}
+	in := core.Input{DS: j.snap.DS, Enc: j.snap.Enc, E: j.snap.ErrVec}
 	if j.spec.Mode == ModeDiff {
-		return core.RunDiffEncodedContext(ctx, j.snap.Enc, j.snap.DS.Features, j.baseSnap.ErrVec, j.snap.ErrVec, cfg)
+		return core.RunDiff(ctx, in, j.baseSnap.ErrVec, cfg)
 	}
 	if j.spec.Window != nil {
-		w, err := windowWeights(j.snap, j.spec.Window, time.Now())
-		if err != nil {
+		var err error
+		if in.W, err = windowWeights(j.snap, j.spec.Window, time.Now()); err != nil {
 			return nil, err
 		}
-		return core.RunEncodedWeightedContext(ctx, j.snap.Enc, j.snap.DS.Features, j.snap.ErrVec, w, cfg)
 	}
-	return core.RunEncodedContext(ctx, j.snap.Enc, j.snap.DS.Features, j.snap.ErrVec, cfg)
+	return core.Run(ctx, in, cfg)
 }
 
 // windowWeights turns a WindowSpec into a 0/1 row-weight vector over the

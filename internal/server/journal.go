@@ -192,6 +192,18 @@ func (j *journal) saveJob(jb *job) error {
 		return nil
 	}
 	jb.mu.Lock()
+	defer jb.mu.Unlock()
+	return j.saveJobLocked(jb)
+}
+
+// saveJobLocked is saveJob for a caller holding jb.mu. Holding the lock
+// across the write serializes a job's journal writes (they share one
+// temporary file) and lands them in state order: a record snapshotted
+// before a transition can never overwrite one written after it.
+func (j *journal) saveJobLocked(jb *job) error {
+	if j == nil {
+		return nil
+	}
 	rec := &journalJob{
 		Version: journalVersion,
 		ID:      jb.id,
@@ -204,7 +216,6 @@ func (j *journal) saveJob(jb *job) error {
 	if jb.state == jobDone {
 		rec.ResultJSON = jb.resultJSON
 	}
-	jb.mu.Unlock()
 	return writeGob(j.jobPath(rec.ID), rec)
 }
 

@@ -118,10 +118,8 @@ func (d *datasetEntry) appendRows(rows [][]string, errs []float64, at time.Time)
 	if len(rows) != len(errs) {
 		return AppendInfo{}, fmt.Errorf("server: %d rows vs %d error values", len(rows), len(errs))
 	}
-	for i, v := range errs {
-		if v < 0 || v != v {
-			return AppendInfo{}, fmt.Errorf("server: invalid error value %v at appended row %d", v, i)
-		}
+	if err := core.ValidateVectors(errs, nil); err != nil {
+		return AppendInfo{}, fmt.Errorf("server: appended rows: %w", err)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -284,11 +282,6 @@ func buildDataset(r io.Reader, opt registerOptions) (*datasetEntry, error) {
 		if col.Kind != frame.Numeric {
 			return nil, fmt.Errorf("server: error column %q must be numeric", opt.Err)
 		}
-		for i, v := range col.Floats {
-			if v < 0 {
-				return nil, fmt.Errorf("server: error column %q has negative value %v at row %d", opt.Err, v, i)
-			}
-		}
 		errVec = append([]float64(nil), col.Floats...)
 		// The label column (when named) is still extracted as Y but the
 		// error column itself must not leak into the features.
@@ -355,6 +348,9 @@ func trainErrVec(ds *frame.Dataset, enc *frame.Encoding, task string) ([]float64
 func finishEntry(ds *frame.Dataset, enc *frame.Encoding, errVec []float64, name, errCol string) (*datasetEntry, error) {
 	if len(errVec) != ds.NumRows() {
 		return nil, fmt.Errorf("server: error vector length %d vs %d rows", len(errVec), ds.NumRows())
+	}
+	if err := core.ValidateVectors(errVec, nil); err != nil {
+		return nil, fmt.Errorf("server: error vector: %w", err)
 	}
 	sig := core.DataSignature(enc, errVec, nil)
 	id := datasetID(sig)

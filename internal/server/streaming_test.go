@@ -169,7 +169,7 @@ func TestStreamingMonitorEndToEnd(t *testing.T) {
 	}
 	refCfg := core.Config{K: 4, Sigma: 2, BitsetEval: core.BitsetOn}
 	reference := func(snap dsSnapshot) string {
-		res, err := core.RunEncoded(snap.Enc, snap.DS.Features, snap.ErrVec, refCfg)
+		res, err := core.Run(context.Background(), core.Input{DS: snap.DS, Enc: snap.Enc, E: snap.ErrVec}, refCfg)
 		if err != nil {
 			t.Fatalf("reference run: %v", err)
 		}
@@ -350,7 +350,7 @@ func TestWindowedJob(t *testing.T) {
 		w[i] = 1
 	}
 	cfg := core.Config{K: 4, Sigma: 2, BitsetEval: core.BitsetOn}.WithDefaults(n)
-	ref, err := core.RunEncodedWeighted(snap.Enc, snap.DS.Features, snap.ErrVec, w, cfg)
+	ref, err := core.Run(context.Background(), core.Input{DS: snap.DS, Enc: snap.Enc, E: snap.ErrVec, W: w}, cfg)
 	if err != nil {
 		t.Fatalf("weighted reference: %v", err)
 	}

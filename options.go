@@ -2,7 +2,6 @@ package sliceline
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"sliceline/internal/core"
@@ -126,10 +125,7 @@ func applySettings(cfg Config, opts []Option) runSettings {
 // budgets and every other per-run input are supplied via options.
 func RunContext(ctx context.Context, ds *Dataset, e []float64, cfg Config, opts ...Option) (*Result, error) {
 	rs := applySettings(cfg, opts)
-	if rs.weights != nil {
-		return core.RunWeightedContext(ctx, ds, e, rs.weights, rs.cfg)
-	}
-	return core.RunContext(ctx, ds, e, rs.cfg)
+	return core.Run(ctx, core.Input{DS: ds, E: e, W: rs.weights}, rs.cfg)
 }
 
 // RunWeightedContext is RunContext with per-row weights.
@@ -146,10 +142,7 @@ func RunWeightedContext(ctx context.Context, ds *Dataset, e, w []float64, cfg Co
 // external evaluators are not supported for diff runs.
 func RunDiffContext(ctx context.Context, ds *Dataset, eBase, eNew []float64, cfg Config, opts ...Option) (*Result, error) {
 	rs := applySettings(cfg, opts)
-	if rs.weights != nil {
-		return nil, fmt.Errorf("sliceline: diff runs do not accept WithWeights: %w", ErrBadWeight)
-	}
-	return core.RunDiffContext(ctx, ds, eBase, eNew, rs.cfg)
+	return core.RunDiff(ctx, core.Input{DS: ds, E: eNew, W: rs.weights}, eBase, rs.cfg)
 }
 
 // Observability types, re-exported so callers can implement hooks against
