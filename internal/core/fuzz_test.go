@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -101,4 +103,65 @@ func FuzzTopK(f *testing.F) {
 			t.Fatalf("threshold %v with %d/%d entries, want 0", th, len(tk.entries), k)
 		}
 	})
+}
+
+// FuzzValidateVectors checks the input contract every entry point enforces:
+// ValidateVectors accepts exactly when every entry of e and w is finite and
+// non-negative and a non-nil w has a positive total, and a rejection wraps
+// the sentinel of the vector at fault.
+func FuzzValidateVectors(f *testing.F) {
+	f.Add(uint8(2), true, floatBytes(0.5, 0, 1, 2))
+	f.Add(uint8(1), false, floatBytes(math.NaN()))
+	f.Add(uint8(1), true, floatBytes(1, math.Inf(1)))
+	f.Add(uint8(1), true, floatBytes(1, 0, math.Copysign(0, -1)))
+	f.Add(uint8(0), true, floatBytes(-1e-300, 3))
+	f.Fuzz(func(t *testing.T, ne uint8, weighted bool, data []byte) {
+		vals := make([]float64, len(data)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		k := min(int(ne), len(vals))
+		e := vals[:k]
+		var w []float64
+		if weighted {
+			w = vals[k:]
+		}
+		valid := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0 }
+		eOK := true
+		for _, v := range e {
+			eOK = eOK && valid(v)
+		}
+		wOK := true
+		if w != nil {
+			positive := false
+			for _, v := range w {
+				wOK = wOK && valid(v)
+				positive = positive || v > 0
+			}
+			wOK = wOK && positive
+		}
+		err := ValidateVectors(e, w)
+		switch {
+		case eOK && wOK:
+			if err != nil {
+				t.Fatalf("e=%v w=%v rejected: %v", e, w, err)
+			}
+		case !eOK:
+			if !errors.Is(err, ErrBadErrorVector) {
+				t.Fatalf("e=%v w=%v: got %v, want ErrBadErrorVector", e, w, err)
+			}
+		default:
+			if !errors.Is(err, ErrBadWeight) {
+				t.Fatalf("e=%v w=%v: got %v, want ErrBadWeight", e, w, err)
+			}
+		}
+	})
+}
+
+func floatBytes(vs ...float64) []byte {
+	b := make([]byte, 8*len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return b
 }

@@ -95,6 +95,9 @@ func TestBitsetProfitableDegenerate(t *testing.T) {
 // (the two kernels add matching rows in the same ascending order but the CSR
 // path accumulates through block partials).
 func TestBitsetKernelMatchesCSR(t *testing.T) {
+	// The row-parallel CSR merge reorders the float sums; serial CSR adds in
+	// the bitset kernel's order.
+	defer matrix.SetMaxWorkers(matrix.SetMaxWorkers(1))
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 5; trial++ {
 		n := 100 + rng.Intn(400)

@@ -218,6 +218,22 @@ func TestCoreTracingAndMetrics(t *testing.T) {
 			t.Fatalf("eval span parented under %v, want a core.level span", es.Parent)
 		}
 	}
+	// Every generated level (2 and up) has one core.generate span under its
+	// level span, carrying the join's group, pair and worker counts.
+	gens := byName["core.generate"]
+	if len(gens) != len(res.Levels)-1 {
+		t.Fatalf("got %d core.generate spans for %d generated levels", len(gens), len(res.Levels)-1)
+	}
+	for _, gs := range gens {
+		parent, ok := byID[gs.Parent]
+		if !ok || parent.Name != "core.level" {
+			t.Fatalf("generate span parented under %v, want a core.level span", gs.Parent)
+		}
+		groups, pairs, workers := gs.AttrInt("groups", -1), gs.AttrInt("pairs", -1), gs.AttrInt("workers", -1)
+		if groups < 0 || pairs < groups || workers < 1 {
+			t.Fatalf("generate span attrs groups=%d pairs=%d workers=%d", groups, pairs, workers)
+		}
+	}
 	if len(byName["core.checkpoint.save"]) == 0 {
 		t.Fatal("no checkpoint save spans recorded")
 	}

@@ -42,6 +42,7 @@ type state struct {
 	ob       coreObs    // pre-resolved metric handles (all nil when metrics are off)
 	sigLevel float64    // resolved FDR level for Slice.Significant
 	totSq    float64    // Σ w_i·e_i², the global total behind welchP
+	gen      *generator // candidate-generation scratch, reused across levels
 }
 
 // Input is the data of one enumeration run. DS supplies the feature names
@@ -339,7 +340,9 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 		lsp := runSpan.Child("core.level")
 		lsp.SetInt("level", int64(lvl))
 		lsp.SetInt("frontier", int64(cur.size()))
-		cand, pstats := st.pairCandidates(cur, lvl, tk.threshold())
+		gsp := lsp.Child("core.generate")
+		cand, pstats := st.pairCandidates(cur, lvl, tk.threshold(), gsp)
+		gsp.End()
 		pruned := pstats.total()
 		setPruneAttrs(lsp, pstats)
 		if cand == nil {
