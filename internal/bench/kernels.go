@@ -23,13 +23,14 @@ import (
 // kernelWorkload is the fixed workload of the gated kernel benchmarks: the
 // quick-scale dataset of the core package's eval benchmarks (2000 rows, 6
 // features, domains up to 5) with its full cross-feature candidate lists.
+// eBin is e thresholded to 0/1, the error of a classifier.
 type kernelWorkload struct {
 	ds      *frame.Dataset
 	x       *matrix.CSR
 	e, w    []float64
+	eBin    []float64
 	pairs   [][]int // all level-2 cross-feature column pairs
 	triples [][]int // all level-3 cross-feature column triples
-	packed  *matrix.ColumnBits
 }
 
 // newKernelWorkload generates the workload. The seed fixes the dataset, so
@@ -65,9 +66,14 @@ func newKernelWorkload(seed int64) (*kernelWorkload, error) {
 	if err != nil {
 		return nil, err
 	}
-	wl := &kernelWorkload{ds: ds, x: enc.X, e: e, w: make([]float64, n)}
+	wl := &kernelWorkload{ds: ds, x: enc.X, e: e, w: make([]float64, n), eBin: make([]float64, n)}
 	for i := range wl.w {
 		wl.w[i] = 1 + float64(i%3)
+	}
+	for i, v := range e {
+		if v > 0.5 {
+			wl.eBin[i] = 1
+		}
 	}
 	width := enc.Width()
 	for c1 := 0; c1 < width; c1++ {
@@ -100,24 +106,13 @@ func csrOp(level int) func(*kernelWorkload, [][]int, []float64, []float64, []flo
 	}
 }
 
-func bitsetOp(weighted bool) func(*kernelWorkload, [][]int, []float64, []float64, []float64) {
-	return func(wl *kernelWorkload, cols [][]int, ss, se, sm []float64) {
-		w := wl.w
-		if !weighted {
-			w = nil
-		}
-		core.EvalBitsetSerial(wl.bits(), wl.e, w, cols, ss, se, sm)
+// bitsetOp measures the bitset level loop of k. KernelSuite packs k
+// before timing: every benchmark iteration measures the steady-state level
+// loop, packing is a once-per-run setup cost.
+func bitsetOp(k *core.Kernel) func(*kernelWorkload, [][]int, []float64, []float64, []float64) {
+	return func(_ *kernelWorkload, cols [][]int, ss, se, sm []float64) {
+		k.EvalBitsetSerial(cols, ss, se, sm)
 	}
-}
-
-// bits lazily packs the workload's one-hot columns (outside the timed loop:
-// every benchmark iteration measures the steady-state level loop, packing is
-// a once-per-run setup cost).
-func (wl *kernelWorkload) bits() *matrix.ColumnBits {
-	if wl.packed == nil {
-		wl.packed = matrix.PackColumns(wl.x)
-	}
-	return wl.packed
 }
 
 // KernelSuite measures the gated eval-kernel benchmarks and returns them as
@@ -128,18 +123,24 @@ func KernelSuite(seed int64) ([]benchfmt.Benchmark, error) {
 	if err != nil {
 		return nil, err
 	}
+	plain := core.NewKernel(wl.x, wl.e, nil, core.BitsetOn)
+	weighted := core.NewKernel(wl.x, wl.e, wl.w, core.BitsetOn)
+	binary := core.NewKernel(wl.x, wl.eBin, nil, core.BitsetOn)
 	cases := []kernelCase{
 		{name: "eval/csr/pairs-l2", cols: wl.pairs, run: csrOp(2)},
-		{name: "eval/bitset/pairs-l2", cols: wl.pairs, run: bitsetOp(false)},
+		{name: "eval/bitset/pairs-l2", cols: wl.pairs, run: bitsetOp(plain)},
 		{name: "eval/csr/triples-l3", cols: wl.triples, run: csrOp(3)},
-		{name: "eval/bitset/triples-l3", cols: wl.triples, run: bitsetOp(false)},
-		{name: "eval/bitset/weighted-pairs-l2", cols: wl.pairs, run: bitsetOp(true)},
+		{name: "eval/bitset/triples-l3", cols: wl.triples, run: bitsetOp(plain)},
+		{name: "eval/bitset/weighted-pairs-l2", cols: wl.pairs, run: bitsetOp(weighted)},
+		{name: "eval/bitset/binary-triples-l3", cols: wl.triples, run: bitsetOp(binary)},
 	}
 	// Pin the measured region single-threaded and pre-pack the bitsets so
 	// neither worker fan-out nor one-time setup leaks into any timed loop.
 	old := matrix.SetMaxWorkers(1)
 	defer matrix.SetMaxWorkers(old)
-	wl.bits()
+	for _, k := range []*core.Kernel{plain, weighted, binary} {
+		k.Bits()
+	}
 	out := make([]benchfmt.Benchmark, 0, len(cases))
 	for _, kc := range cases {
 		kc := kc

@@ -226,3 +226,43 @@ func assertFinding(t *testing.T, findings []Finding, name, metric string, wantFa
 	}
 	t.Fatalf("no finding for %s %s", name, metric)
 }
+
+// TestDiffReportsNewBenchmarks: a benchmark only in the current run — a
+// newly added gated entry — is listed as "new" with its measurements, and
+// never fails the gate, however slow or allocating it is.
+func TestDiffReportsNewBenchmarks(t *testing.T) {
+	base := validFile()
+	cur := validFile()
+	cur.Benchmarks = append(cur.Benchmarks, Benchmark{
+		Name: "eval/bitset/binary-triples-l3", NsPerOp: 5e9, AllocsPerOp: 7, Gate: true,
+	})
+	findings, failed, err := Diff(base, cur, 0.15)
+	if err != nil || failed {
+		t.Fatalf("new benchmark: failed=%v err=%v", failed, err)
+	}
+	var added []Finding
+	for _, f := range findings {
+		if f.Added {
+			added = append(added, f)
+		}
+	}
+	if len(added) != 2 || added[0].Name != "eval/bitset/binary-triples-l3" || added[0].Failed || added[1].Failed {
+		t.Fatalf("added findings = %+v", added)
+	}
+	if added[0].Metric != "ns/op" || added[0].New != 5e9 || added[1].Metric != "allocs/op" || added[1].New != 7 {
+		t.Fatalf("added measurements = %+v", added)
+	}
+	var out bytes.Buffer
+	if err := Report(&out, findings); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, l := range strings.Split(out.String(), "\n") {
+		if strings.Contains(l, "binary-triples-l3") {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "new ") || !strings.HasPrefix(lines[1], "new ") {
+		t.Fatalf("report lines for the new benchmark = %q\nfull report:\n%s", lines, out.String())
+	}
+}

@@ -21,9 +21,13 @@ type Finding struct {
 	Delta  float64 // fractional change, (new-old)/old; +Inf when old == 0
 	Gated  bool    // participates in the pass/fail decision
 	Failed bool    // gated and regressed beyond the allowance
+	Added  bool    // only in the current run: no baseline, never fails
 }
 
 func (f Finding) String() string {
+	if f.Added {
+		return fmt.Sprintf("%-4s %-34s %-10s %14s -> %14.1f", "new", f.Name, f.Metric, "-", f.New)
+	}
 	verdict := "ok"
 	if f.Failed {
 		verdict = "FAIL"
@@ -40,7 +44,8 @@ func (f Finding) String() string {
 // benchmarks fail on ns/op growth beyond maxRegress (<= 0 selects
 // DefaultMaxRegress) and on any allocs/op growth; improvements always
 // pass. Ungated benchmarks present in both files are reported
-// informationally and never fail.
+// informationally and never fail, and so are benchmarks present only in
+// current (Added), so a newly gated entry shows in the change that adds it.
 //
 // The returned failed flag is true when any finding failed; err reports
 // structural problems (a gated benchmark missing from current).
@@ -80,6 +85,14 @@ func Diff(baseline, current File, maxRegress float64) (findings []Finding, faile
 		al.Failed = al.Gated && cur.AllocsPerOp > base.AllocsPerOp
 		findings = append(findings, ns, al)
 		failed = failed || ns.Failed || al.Failed
+	}
+	for _, cur := range current.Benchmarks {
+		if _, ok := baseline.Lookup(cur.Name); ok {
+			continue
+		}
+		findings = append(findings,
+			Finding{Name: cur.Name, Metric: "ns/op", New: cur.NsPerOp, Gated: cur.Gate, Added: true},
+			Finding{Name: cur.Name, Metric: "allocs/op", New: float64(cur.AllocsPerOp), Gated: cur.Gate, Added: true})
 	}
 	return findings, failed, nil
 }

@@ -246,6 +246,13 @@ type LevelStats struct {
 	Valid      int           // evaluated slices with |S| >= sigma and se > 0
 	Pruned     int           // pair-candidates removed before evaluation
 	Elapsed    time.Duration // cumulative elapsed time through this level
+	// GenerateElapsed is this level's candidate generation and pruning
+	// (zero at level 1, whose candidates are the basic slices).
+	GenerateElapsed time.Duration
+	// EvalElapsed is this level's evaluation: the basic-slice statistics
+	// at level 1, the slice-membership kernel (or external evaluator)
+	// after. Zero for a level that stopped before evaluating.
+	EvalElapsed time.Duration
 }
 
 // Result is the output of a SliceLine run.

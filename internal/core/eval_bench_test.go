@@ -82,13 +82,29 @@ func BenchmarkEvalPartitionTriplesL3(b *testing.B) {
 	benchEvalPartition(b, 16, 3, false)
 }
 
+// binaryErrors thresholds e to 0/1, the error of a classifier.
+func binaryErrors(e []float64) []float64 {
+	out := make([]float64, len(e))
+	for i, v := range e {
+		if v > 0.5 {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
 // benchEvalBitset drives the packed-bitset kernel over the same candidate
-// lists. Packing happens once outside the timed loop, matching how the
-// Kernel caches its ColumnBits across levels of a run.
-func benchEvalBitset(b *testing.B, level int, weighted bool) {
+// lists, with real, weighted or 0/1 errors. Packing happens once outside the
+// timed loop, matching how the Kernel caches its ColumnBits across levels of
+// a run.
+func benchEvalBitset(b *testing.B, level int, weighted, binary bool) {
 	x, e, cols := benchEvalData(b, 2000, 6, 5, level)
 	w := benchWeights(e, weighted)
-	cb := matrix.PackColumns(x)
+	if binary {
+		e = binaryErrors(e)
+	}
+	k := NewKernel(x, e, w, BitsetOn)
+	k.Bits()
 	ss := make([]float64, len(cols))
 	se := make([]float64, len(cols))
 	sm := make([]float64, len(cols))
@@ -98,13 +114,14 @@ func benchEvalBitset(b *testing.B, level int, weighted bool) {
 		for j := range ss {
 			ss[j], se[j], sm[j] = 0, 0, 0
 		}
-		EvalBitsetSerial(cb, e, w, cols, ss, se, sm)
+		k.EvalBitsetSerial(cols, ss, se, sm)
 	}
 }
 
-func BenchmarkEvalBitsetPairsL2(b *testing.B)    { benchEvalBitset(b, 2, false) }
-func BenchmarkEvalBitsetTriplesL3(b *testing.B)  { benchEvalBitset(b, 3, false) }
-func BenchmarkEvalBitsetWeightedL2(b *testing.B) { benchEvalBitset(b, 2, true) }
+func BenchmarkEvalBitsetPairsL2(b *testing.B)    { benchEvalBitset(b, 2, false, false) }
+func BenchmarkEvalBitsetTriplesL3(b *testing.B)  { benchEvalBitset(b, 3, false, false) }
+func BenchmarkEvalBitsetWeightedL2(b *testing.B) { benchEvalBitset(b, 2, true, false) }
+func BenchmarkEvalBitsetBinaryL3(b *testing.B)   { benchEvalBitset(b, 3, false, true) }
 
 // TestEvalBitsetSerialZeroAlloc pins the bitset level loop's steady-state
 // allocation count at exactly zero — the property the committed bench
@@ -124,16 +141,17 @@ func TestEvalBitsetSerialZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	cb := matrix.PackColumns(enc.X)
 	ss := make([]float64, len(pairs))
 	se := make([]float64, len(pairs))
 	sm := make([]float64, len(pairs))
-	for name, w := range map[string][]float64{
-		"unweighted": nil,
-		"weighted":   benchWeights(e, true),
+	for name, k := range map[string]*Kernel{
+		"unweighted": NewKernel(enc.X, e, nil, BitsetOn),
+		"weighted":   NewKernel(enc.X, e, benchWeights(e, true), BitsetOn),
+		"binary":     NewKernel(enc.X, binaryErrors(e), nil, BitsetOn),
 	} {
+		k.Bits()
 		allocs := testing.AllocsPerRun(20, func() {
-			EvalBitsetSerial(cb, e, w, pairs, ss, se, sm)
+			k.EvalBitsetSerial(pairs, ss, se, sm)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: EvalBitsetSerial allocates %.1f per op, want 0", name, allocs)

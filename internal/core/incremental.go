@@ -21,10 +21,11 @@ type memoEntry struct {
 // incremental run. Keys are the candidate's ORIGINAL one-hot column ids (the
 // reduced column space changes per generation as the σ-filter moves, original
 // ids are stable modulo domain-growth remaps, which rekey the memo). The
-// packed bitset covers the full one-hot width and is grown in place by
-// appends.
+// packed bitset covers the full one-hot width and, with the error vector's
+// errorBits, is grown in place by appends.
 type sliceMemo struct {
 	bits    *matrix.ColumnBits
+	errs    errorBits
 	entries map[string]memoEntry
 	hits    int // candidates continued from a memo entry, cumulative
 	misses  int // candidates evaluated from row 0, cumulative
@@ -70,7 +71,7 @@ func (m *sliceMemo) rekey(remap []int) {
 // only the rows appended since its last evaluation, seeded with the stored
 // statistics, an unseen candidate scans from row 0. Both land bit-identical
 // to a from-scratch evaluation (see evalBitsetFrom). Candidates are sharded
-// across workers like EvalBitsetWeighted — the map is read concurrently and
+// across workers like Kernel.Eval — the map is read concurrently and
 // updated serially afterwards.
 func (m *sliceMemo) evalLevel(orig []int, e []float64, lv *level) {
 	nc := lv.size()
@@ -95,7 +96,7 @@ func (m *sliceMemo) evalLevel(orig []int, e []float64, lv *level) {
 				from, ss, se, sm = ent.rows, ent.ss, ent.se, ent.sm
 				hits[s] = true
 			}
-			lv.ss[s], lv.se[s], lv.sm[s] = evalBitsetFrom(m.bits, e, nil, buf, from, ss, se, sm)
+			lv.ss[s], lv.se[s], lv.sm[s] = evalBitsetFrom(m.bits, &m.errs, e, nil, buf, from, ss, se, sm)
 		}
 	})
 	for s := 0; s < nc; s++ {
@@ -183,6 +184,7 @@ func NewIncremental(enc *frame.Encoding, feats []frame.Feature, e []float64, cfg
 		e:     append([]float64(nil), e...),
 		memo: &sliceMemo{
 			bits:    matrix.PackColumns(enc.X),
+			errs:    packErrors(e),
 			entries: make(map[string]memoEntry),
 		},
 	}, nil
@@ -208,8 +210,9 @@ func (inc *Incremental) Stats() IncrementalStats {
 // Append folds one applied frame.Appender batch into the evaluator: the
 // packed bitset is column-remapped if a feature domain grew, extended in
 // place with the appended rows, the memo rekeyed, and the new rows' errors
-// concatenated. errs must align with the batch (len == res.NewRows) and obey
-// the same finite e >= 0 contract as a batch run.
+// concatenated and folded into the kernel's errorBits. errs must align with
+// the batch (len == res.NewRows) and obey the same finite e >= 0 contract as
+// a batch run.
 func (inc *Incremental) Append(res *frame.AppendResult, errs []float64) error {
 	if res == nil || res.Enc == nil {
 		return fmt.Errorf("core: nil append result")
@@ -237,6 +240,7 @@ func (inc *Incremental) Append(res *frame.AppendResult, errs []float64) error {
 	// generation must keep its view, and the old backing array may be shared.
 	e := make([]float64, 0, len(inc.e)+len(errs))
 	e = append(append(e, inc.e...), errs...)
+	inc.memo.errs.extend(e, len(inc.e))
 	inc.e = e
 	inc.enc = res.Enc
 	inc.feats = append(inc.feats[:0:0], res.DS.Features...)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -32,7 +33,7 @@ func catFrameOf(t *testing.T, names []string, rows [][]string) *frame.Frame {
 func stripElapsed(ls []LevelStats) []LevelStats {
 	out := append([]LevelStats(nil), ls...)
 	for i := range out {
-		out[i].Elapsed = 0
+		out[i].Elapsed, out[i].GenerateElapsed, out[i].EvalElapsed = 0, 0, 0
 	}
 	return out
 }
@@ -265,5 +266,105 @@ func TestIncrementalAppendValidation(t *testing.T) {
 	// Applying the same generation twice must fail the row-count check.
 	if err := inc.Append(res, []float64{1, 0.5}); err == nil {
 		t.Error("replayed append: want error")
+	}
+}
+
+// TestIncrementalErrorBitsAcrossAppends drives the kernel's errorBits through
+// every transition an append can make: a 0/1 base extended by 0/1 rows (the
+// popcount path, with memo seeds it wrote), then rows containing 0.5 (the
+// enumeration path continuing those seeds), then rows of -0.0 (nonzero mask
+// unchanged). Every generation must be bit-identical to a batch run over
+// the accumulated rows.
+func TestIncrementalErrorBitsAcrossAppends(t *testing.T) {
+	names := []string{"dev", "os", "region"}
+	rng := rand.New(rand.NewSource(23))
+	binaryErrs := func(n int) []float64 {
+		e := make([]float64, n)
+		for i := range e {
+			if rng.Intn(3) == 0 {
+				e[i] = 1
+			}
+		}
+		return e
+	}
+	base := randomCatRows(rng, 150, len(names), 3, 0)
+	ds, err := frame.FromFrame(catFrameOf(t, names, base), "", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := frame.OneHot(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap, err := frame.NewAppender(ds, enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := binaryErrs(len(base))
+	cfg := Config{K: 4, Sigma: 5, Alpha: 0.9}
+	inc, err := NewIncremental(enc, ds.Features, e, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule := []struct {
+		name   string
+		errs   func(n int) []float64
+		binary bool
+	}{
+		{"binary", binaryErrs, true},
+		{"binary", binaryErrs, true},
+		{"half", func(n int) []float64 {
+			e := binaryErrs(n)
+			e[n/2] = 0.5
+			return e
+		}, false},
+		{"negzero", func(n int) []float64 {
+			e := make([]float64, n)
+			for i := range e {
+				e[i] = math.Copysign(0, -1)
+			}
+			return e
+		}, false},
+	}
+	refCfg := cfg
+	refCfg.BitsetEval = BitsetOn
+	for gen := 0; gen <= len(schedule); gen++ {
+		wantBinary := true
+		if gen > 0 {
+			step := schedule[gen-1]
+			res, err := ap.AppendRows(randomCatRows(rng, 40, len(names), 3, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := step.errs(res.NewRows)
+			if err := inc.Append(res, errs); err != nil {
+				t.Fatalf("gen %d (%s): Append: %v", gen, step.name, err)
+			}
+			e = append(e, errs...)
+			wantBinary = step.binary
+		}
+		if inc.memo.errs.binary != wantBinary {
+			t.Fatalf("gen %d: errorBits.binary = %v, want %v", gen, inc.memo.errs.binary, wantBinary)
+		}
+		got, err := inc.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(context.Background(), Input{DS: ap.Dataset(), Enc: ap.Encoding(), E: e}, refCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdenticalResults(t, gen, got, want)
+		for i := range got.TopK {
+			g, w := got.TopK[i], want.TopK[i]
+			if math.Float64bits(g.TotalError) != math.Float64bits(w.TotalError) ||
+				math.Float64bits(g.MaxError) != math.Float64bits(w.MaxError) ||
+				math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+				t.Fatalf("gen %d slice %d: bits differ: %+v vs %+v", gen, i, g, w)
+			}
+		}
+	}
+	if inc.Stats().Hits == 0 {
+		t.Fatal("no memo hits: the appends never continued a stored seed")
 	}
 }

@@ -45,6 +45,33 @@ type jsonLevelStats struct {
 	Valid      int   `json:"valid"`
 	Pruned     int   `json:"pruned"`
 	ElapsedNS  int64 `json:"elapsed_ns"`
+	GenerateNS int64 `json:"generate_ns"`
+	EvalNS     int64 `json:"eval_ns"`
+}
+
+func toJSONLevel(l LevelStats) jsonLevelStats {
+	return jsonLevelStats{
+		Level:      l.Level,
+		Candidates: l.Candidates,
+		Valid:      l.Valid,
+		Pruned:     l.Pruned,
+		ElapsedNS:  l.Elapsed.Nanoseconds(),
+		GenerateNS: l.GenerateElapsed.Nanoseconds(),
+		EvalNS:     l.EvalElapsed.Nanoseconds(),
+	}
+}
+
+// stats converts back; fields absent from older payloads decode as zero.
+func (jl jsonLevelStats) stats() LevelStats {
+	return LevelStats{
+		Level:           jl.Level,
+		Candidates:      jl.Candidates,
+		Valid:           jl.Valid,
+		Pruned:          jl.Pruned,
+		Elapsed:         time.Duration(jl.ElapsedNS),
+		GenerateElapsed: time.Duration(jl.GenerateNS),
+		EvalElapsed:     time.Duration(jl.EvalNS),
+	}
 }
 
 type jsonResult struct {
@@ -123,13 +150,7 @@ func (s *Slice) UnmarshalJSON(data []byte) error {
 
 // MarshalJSON implements the stable interchange form of level statistics.
 func (l LevelStats) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonLevelStats{
-		Level:      l.Level,
-		Candidates: l.Candidates,
-		Valid:      l.Valid,
-		Pruned:     l.Pruned,
-		ElapsedNS:  l.Elapsed.Nanoseconds(),
-	})
+	return json.Marshal(toJSONLevel(l))
 }
 
 // UnmarshalJSON implements the stable interchange form of level statistics.
@@ -138,13 +159,7 @@ func (l *LevelStats) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jl); err != nil {
 		return err
 	}
-	*l = LevelStats{
-		Level:      jl.Level,
-		Candidates: jl.Candidates,
-		Valid:      jl.Valid,
-		Pruned:     jl.Pruned,
-		Elapsed:    time.Duration(jl.ElapsedNS),
-	}
+	*l = jl.stats()
 	return nil
 }
 
@@ -174,10 +189,7 @@ func (r Result) MarshalJSON() ([]byte, error) {
 		})
 	}
 	for _, l := range r.Levels {
-		jr.Levels = append(jr.Levels, jsonLevelStats{
-			Level: l.Level, Candidates: l.Candidates, Valid: l.Valid,
-			Pruned: l.Pruned, ElapsedNS: l.Elapsed.Nanoseconds(),
-		})
+		jr.Levels = append(jr.Levels, toJSONLevel(l))
 	}
 	return json.Marshal(jr)
 }
@@ -215,10 +227,7 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 		out.TopK = append(out.TopK, s)
 	}
 	for _, jl := range jr.Levels {
-		out.Levels = append(out.Levels, LevelStats{
-			Level: jl.Level, Candidates: jl.Candidates, Valid: jl.Valid,
-			Pruned: jl.Pruned, Elapsed: time.Duration(jl.ElapsedNS),
-		})
+		out.Levels = append(out.Levels, jl.stats())
 	}
 	*r = out
 	return nil

@@ -22,8 +22,9 @@ func sampleResult() *Result {
 				PValue: 0.4, QValue: 0.4, DiffSign: -1},
 		},
 		Levels: []LevelStats{
-			{Level: 1, Candidates: 40, Valid: 31, Elapsed: 12 * time.Millisecond},
-			{Level: 2, Candidates: 210, Valid: 87, Pruned: 355, Elapsed: 47 * time.Millisecond},
+			{Level: 1, Candidates: 40, Valid: 31, Elapsed: 12 * time.Millisecond, EvalElapsed: 5 * time.Millisecond},
+			{Level: 2, Candidates: 210, Valid: 87, Pruned: 355, Elapsed: 47 * time.Millisecond,
+				GenerateElapsed: 21 * time.Millisecond, EvalElapsed: 13 * time.Millisecond},
 		},
 		N: 5000, AvgError: 0.21, Sigma: 50, Alpha: 0.95,
 		Elapsed: 61 * time.Millisecond, Truncated: true, Gap: 0.125,
@@ -50,6 +51,8 @@ func TestResultJSONSchema(t *testing.T) {
 		`"truncated":true`,
 		`"levels":[`,
 		`"pruned":355`,
+		`"generate_ns":21000000`,
+		`"eval_ns":13000000`,
 		`"gap":0.125`,
 		`"p_value":0.003`,
 		`"q_value":0.006`,
@@ -137,6 +140,9 @@ func TestResultJSONAcceptsV1(t *testing.T) {
 	if r.Gap != 0 || r.TopK[0].PValue != 0 || r.TopK[0].QValue != 0 ||
 		r.TopK[0].Significant || r.TopK[0].DiffSign != 0 {
 		t.Fatalf("v2-only fields must read as zero from a v1 payload: %+v", r)
+	}
+	if l := r.Levels[0]; l.Elapsed != 12*time.Millisecond || l.GenerateElapsed != 0 || l.EvalElapsed != 0 {
+		t.Fatalf("level without a phase split misread: %+v", l)
 	}
 }
 

@@ -196,6 +196,7 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	// vectorized form (Equation 4): ss0 = colSums(X), se0 = (eᵀ X)ᵀ, and
 	// sm0 the per-column max error. With weights, row i contributes w[i]
 	// to ss0 and w[i]·e[i] to se0.
+	initStart := time.Now()
 	var ss0, se0 []float64
 	if w == nil {
 		ss0 = matrix.ColSumsCSR(enc.X)
@@ -221,6 +222,7 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 			}
 		}
 	}
+	evalL1 := time.Since(initStart)
 
 	// cI: valid basic slices (line 12 of Algorithm 1). With size pruning
 	// disabled for the ablation study, only the non-zero constraints apply.
@@ -291,10 +293,11 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 			tk.offer(cur.cols[i], cur.sc[i], cur.ss[i], cur.se[i], cur.sm[i])
 		}
 		ls := LevelStats{
-			Level:      1,
-			Candidates: enc.Width(),
-			Valid:      countValid(cur, float64(cfg.Sigma)),
-			Elapsed:    time.Since(start),
+			Level:       1,
+			Candidates:  enc.Width(),
+			Valid:       countValid(cur, float64(cfg.Sigma)),
+			Elapsed:     time.Since(start),
+			EvalElapsed: evalL1,
 		}
 		res.Levels = append(res.Levels, ls)
 		lsp.SetInt("candidates", int64(ls.Candidates))
@@ -341,7 +344,9 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 		lsp.SetInt("level", int64(lvl))
 		lsp.SetInt("frontier", int64(cur.size()))
 		gsp := lsp.Child("core.generate")
+		genStart := time.Now()
 		cand, pstats := st.pairCandidates(cur, lvl, tk.threshold(), gsp)
+		genElapsed := time.Since(genStart)
 		gsp.End()
 		pruned := pstats.total()
 		setPruneAttrs(lsp, pstats)
@@ -351,7 +356,7 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 			lsp.Event("truncated: candidate generation exceeded budget")
 			lsp.End()
 			st.recordLevel(res, LevelStats{
-				Level: lvl, Elapsed: time.Since(start),
+				Level: lvl, Elapsed: time.Since(start), GenerateElapsed: genElapsed,
 			})
 			break
 		}
@@ -359,7 +364,7 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 		if cand.size() == 0 {
 			lsp.End()
 			st.recordLevel(res, LevelStats{
-				Level: lvl, Pruned: pruned, Elapsed: time.Since(start),
+				Level: lvl, Pruned: pruned, Elapsed: time.Since(start), GenerateElapsed: genElapsed,
 			})
 			// Every child was pruned: the frontier is empty and the top-K is
 			// certified exact (gap 0).
@@ -372,18 +377,24 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 			lsp.Event("truncated: level exceeds MaxCandidatesPerLevel")
 			lsp.End()
 			st.recordLevel(res, LevelStats{
-				Level: lvl, Candidates: cand.size(), Pruned: pruned, Elapsed: time.Since(start),
+				Level: lvl, Candidates: cand.size(), Pruned: pruned,
+				Elapsed: time.Since(start), GenerateElapsed: genElapsed,
 			})
 			break
 		}
 		// Evaluation spans parent under the level span via the context.
 		lctx := obs.ContextWith(ctx, lsp)
+		// EvalElapsed covers the evaluation proper; priority enumeration
+		// interleaves its top-K offers with evaluation batches.
+		evalStart := time.Now()
+		var evalElapsed time.Duration
 		if cfg.PriorityEnumeration {
 			evaluated, extraPruned, err := st.evalWithPriority(lctx, cand, lvl, tk)
 			if err != nil {
 				lsp.End()
 				return nil, err
 			}
+			evalElapsed = time.Since(evalStart)
 			cand = evaluated
 			pruned += extraPruned
 		} else {
@@ -391,16 +402,19 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 				lsp.End()
 				return nil, err
 			}
+			evalElapsed = time.Since(evalStart)
 			for i := range cand.cols {
 				tk.offer(cand.cols[i], cand.sc[i], cand.ss[i], cand.se[i], cand.sm[i])
 			}
 		}
 		ls := LevelStats{
-			Level:      lvl,
-			Candidates: cand.size(),
-			Valid:      countValid(cand, float64(cfg.Sigma)),
-			Pruned:     pruned,
-			Elapsed:    time.Since(start),
+			Level:           lvl,
+			Candidates:      cand.size(),
+			Valid:           countValid(cand, float64(cfg.Sigma)),
+			Pruned:          pruned,
+			Elapsed:         time.Since(start),
+			GenerateElapsed: genElapsed,
+			EvalElapsed:     evalElapsed,
 		}
 		res.Levels = append(res.Levels, ls)
 		lsp.SetInt("evaluated", int64(ls.Candidates))

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"sliceline/internal/fptol"
 	"sliceline/internal/frame"
@@ -309,6 +310,38 @@ func TestLevelStatsMonotoneElapsed(t *testing.T) {
 		if res.Levels[i].Level != res.Levels[i-1].Level+1 {
 			t.Errorf("levels not consecutive at %d", i)
 		}
+	}
+}
+
+// TestLevelStatsPhaseSplit: each level's generation and evaluation are
+// disjoint sub-intervals of that level, so together they never exceed the
+// level's share of the cumulative Elapsed; level 1 generates nothing.
+func TestLevelStatsPhaseSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	ds, e := randomDataset(rng, 200, 5, 3)
+	res, err := Run(context.Background(), Input{DS: ds, E: e}, Config{K: 4, Sigma: 3, Alpha: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Levels) < 2 {
+		t.Fatalf("only %d levels recorded", len(res.Levels))
+	}
+	var prev, eval time.Duration
+	for _, l := range res.Levels {
+		if l.GenerateElapsed < 0 || l.EvalElapsed < 0 {
+			t.Fatalf("level %d: negative phase time %+v", l.Level, l)
+		}
+		if l.GenerateElapsed+l.EvalElapsed > l.Elapsed-prev {
+			t.Fatalf("level %d: generate %v + eval %v exceed the level's %v", l.Level, l.GenerateElapsed, l.EvalElapsed, l.Elapsed-prev)
+		}
+		prev = l.Elapsed
+		eval += l.EvalElapsed
+	}
+	if res.Levels[0].GenerateElapsed != 0 {
+		t.Fatalf("level 1 generate = %v, want 0", res.Levels[0].GenerateElapsed)
+	}
+	if eval == 0 {
+		t.Fatal("no evaluation time recorded on any level")
 	}
 }
 

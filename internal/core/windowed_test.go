@@ -90,15 +90,15 @@ func TestZeroWeightExcludedFromMaxError(t *testing.T) {
 	for i := range ss {
 		ss[i], se[i], sm[i] = 0, 0, 0
 	}
-	cb := matrix.PackColumns(x)
-	EvalBitsetWeighted(cb, e, w, cols, ss, se, sm)
+	k := NewKernel(x, e, w, BitsetOn)
+	k.Eval(cols, 0, 0, ss, se, sm)
 	check("bitset", ss, se, sm)
 
 	for i := range ss {
 		ss[i], se[i], sm[i] = 0, 0, 0
 	}
 	for i, c := range cols {
-		ss[i], se[i], sm[i] = evalBitsetFrom(cb, e, w, c, 0, 0, 0, 0)
+		ss[i], se[i], sm[i] = evalBitsetFrom(k.Bits(), &k.errs, e, w, c, 0, 0, 0, 0)
 	}
 	check("bitsetFrom", ss, se, sm)
 }

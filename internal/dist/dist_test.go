@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 
 	"sliceline/internal/core"
@@ -236,5 +237,59 @@ func TestServeStopsOnClose(t *testing.T) {
 	lis.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("Serve returned %v on close, want nil", err)
+	}
+}
+
+// TestClusterMixedErrorPartitionsMatchLocal: each worker's kernel describes
+// its own partition's errors, so one partition can take the 0/1 popcount
+// path while another enumerates real errors. Merged, they must give the
+// local run's result: identical predicates and sizes, statistics within the
+// cross-plan tolerance (partition sums add in a different order).
+func TestClusterMixedErrorPartitionsMatchLocal(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ds, e := randomDataset(rng, 400, 4, 3)
+	// Plant a high-error slice (f0 = 1 and f1 = 1) so the top-K is not
+	// empty; the first partition gets 0/1 errors, the second real ones.
+	first := PartitionSizes(len(e), 2)[0]
+	for i := range e {
+		p := 0.1
+		if ds.X0.At(i, 0) == 1 && ds.X0.At(i, 1) == 1 {
+			p = 0.8
+		}
+		switch {
+		case i >= first:
+			e[i] = p * rng.Float64() * 2
+		case rng.Float64() < p:
+			e[i] = 1
+		default:
+			e[i] = 0
+		}
+	}
+	cfg := core.Config{K: 5, Sigma: 4, Alpha: 0.9, BitsetEval: core.BitsetOn}
+	ref, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewCluster([]Worker{&InProcessWorker{BitsetEval: core.BitsetOn}, &InProcessWorker{BitsetEval: core.BitsetOn}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg
+	c.Evaluator = cl
+	got, err := core.Run(context.Background(), core.Input{DS: ds, E: e}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.TopK) != len(ref.TopK) || len(got.TopK) == 0 {
+		t.Fatalf("top-K lengths %d vs %d", len(got.TopK), len(ref.TopK))
+	}
+	for i, g := range got.TopK {
+		r := ref.TopK[i]
+		if !reflect.DeepEqual(g.Predicates, r.Predicates) || g.Size != r.Size {
+			t.Fatalf("slice %d: %+v, local %+v", i, g, r)
+		}
+		if !fptol.DefaultTol.Close(g.TotalError, r.TotalError) || g.MaxError != r.MaxError || !fptol.DefaultTol.Close(g.Score, r.Score) {
+			t.Fatalf("slice %d statistics: %+v, local %+v", i, g, r)
+		}
 	}
 }

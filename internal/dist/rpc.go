@@ -566,6 +566,11 @@ func (w *RemoteWorker) invalidate(client *rpc.Client, gen int) {
 // request. When the context expires mid-call the connection is poisoned —
 // its gob stream now carries an orphan reply — and the next call redials.
 func (w *RemoteWorker) call(ctx context.Context, method string, args, reply interface{}) error {
+	// An already-done context never issues the call: invoke's select would
+	// otherwise choose at random between it and a fast reply.
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("dist: %s on %s: %w", method, w.addr, err)
+	}
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		client, gen, err := w.conn(ctx)

@@ -57,7 +57,7 @@ func canonicalResult(t *testing.T, raw []byte) string {
 	}
 	res.Elapsed = 0
 	for i := range res.Levels {
-		res.Levels[i].Elapsed = 0
+		res.Levels[i].Elapsed, res.Levels[i].GenerateElapsed, res.Levels[i].EvalElapsed = 0, 0, 0
 	}
 	out, err := json.Marshal(&res)
 	if err != nil {
