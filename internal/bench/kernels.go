@@ -2,12 +2,14 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"sliceline/internal/benchfmt"
 	"sliceline/internal/core"
+	"sliceline/internal/datagen"
 	"sliceline/internal/frame"
 	"sliceline/internal/matrix"
 )
@@ -187,14 +189,15 @@ func KernelSuite(seed int64) ([]benchfmt.Benchmark, error) {
 const kernelRepeats = 3
 
 // RunSuite measures the ungated end-to-end enumeration benchmarks: one full
-// Run per op through each kernel mode at ambient parallelism. These entries
-// track the perf trajectory without failing CI on machine-dependent noise.
+// Run per op through each kernel mode at ambient parallelism, and the
+// per-core scaling of a generation-bound run at 1, 2 and 4 workers. These
+// entries track the perf trajectory without failing CI on machine-dependent
+// noise.
 func RunSuite(seed int64) ([]benchfmt.Benchmark, error) {
 	wl, err := newKernelWorkload(seed)
 	if err != nil {
 		return nil, err
 	}
-	ds := wl.ds
 	modes := []struct {
 		name string
 		mode core.BitsetMode
@@ -202,26 +205,42 @@ func RunSuite(seed int64) ([]benchfmt.Benchmark, error) {
 		{"run/bitset-on", core.BitsetOn},
 		{"run/bitset-off", core.BitsetOff},
 	}
-	out := make([]benchfmt.Benchmark, 0, len(modes))
+	var out []benchfmt.Benchmark
 	for _, mc := range modes {
 		cfg := core.Config{K: 4, Sigma: 20, Alpha: 0.95, BitsetEval: mc.mode}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(context.Background(), core.Input{DS: ds, E: wl.e}, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		out = append(out, benchfmt.Benchmark{
-			Name:        mc.name,
-			NsPerOp:     float64(r.NsPerOp()),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			RowsPerSec:  rowsPerSec(wl.x.Rows(), r),
-		})
+		out = append(out, runBenchmark(mc.name, core.Input{DS: wl.ds, E: wl.e}, cfg))
+	}
+	// USCensus-shaped data to level 3, where candidate generation is most of
+	// the run, with the workers of generation and evaluation pinned.
+	census := datagen.USCensus(2000, seed)
+	in := core.Input{DS: census.DS, E: census.Err}
+	old := matrix.MaxWorkers()
+	defer matrix.SetMaxWorkers(old)
+	for _, w := range []int{1, 2, 4} {
+		matrix.SetMaxWorkers(w)
+		out = append(out, runBenchmark(fmt.Sprintf("run/gen-l3/workers-%d", w), in, core.Config{MaxLevel: 3}))
 	}
 	return out, nil
+}
+
+// runBenchmark measures one full core.Run of in under cfg per op. A failed
+// run aborts the benchmark.
+func runBenchmark(name string, in core.Input, cfg core.Config) benchfmt.Benchmark {
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Run(context.Background(), in, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	return benchfmt.Benchmark{
+		Name:        name,
+		NsPerOp:     float64(r.NsPerOp()),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		RowsPerSec:  rowsPerSec(in.DS.NumRows(), r),
+	}
 }
 
 func rowsPerSec(rows int, r testing.BenchmarkResult) float64 {

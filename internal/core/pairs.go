@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,47 +39,50 @@ func (p *pruneStats) add(q pruneStats) {
 // reused from level to level, so a level allocates only its output.
 type generator struct {
 	// Inputs of the current level, read-only while the workers run.
-	prev  *level
 	L     int
 	sck   float64
-	keep  []int // indices into prev of the slices that take part in the join
-	dedup bool  // pairs are deduplicated into groups (L > 2, dedup enabled)
+	dedup bool // pairs are deduplicated into candidates (L > 2, dedup enabled)
+	// The slices of the previous level that take part in the join, by keep
+	// position: their columns, indexed by tuple, and their statistics.
+	kept       keptIndex
+	ss, se, sm []float64
 	// Per-column posting lists over keep positions (L > 2):
 	// post[postStart[c]:postStart[c+1]] lists, ascending, the positions a
 	// whose slice contains column c, and at[a*(L-1)+x] is the index in post
 	// of a itself within the list of its x-th column.
 	postStart, post, at []int32
 
-	tabs  []genTable   // one per worker; tabs[w] owns the unions hashed to w
-	heads []int        // merge cursors into tabs[w].surv
-	total atomic.Int64 // groups created by all workers so far
-	wg    sync.WaitGroup
+	chunks  []genChunk   // one per contiguous range of keep positions
+	workers []genWorker  // one per worker
+	next    atomic.Int64 // the next chunk to take
+	total   atomic.Int64 // groups formed by all workers so far
+	wg      sync.WaitGroup
 }
 
-// genTable is one worker's share of the deduplication matrix M of Section
-// 4.3, stored as parallel arrays indexed by group. Group g is the candidate
-// with columns cols[g*L:(g+1)*L], the minima of its bounds over its
-// enumerated parent pairs, its pair count and whether a pair-level bound
-// already condemned it. slots is an open-addressing index over the groups
-// (group+1, 0 = empty), probed linearly from hashCols.
-type genTable struct {
-	cols             []int
-	ssUB, seUB, smUB []float64
-	pairs            []int32
-	dead             []bool
-	seq              []uint64 // first-seen join position a<<32 | k: the serial insertion order
-	slots            []int32
-
+// genChunk is what the join over one contiguous range of keep positions
+// produced: its surviving candidates in first-seen order, with flat columns
+// and score upper bounds, and its counts.
+type genChunk struct {
+	cols   []int
+	ub     []float64
 	pr     pruneStats
-	npairs int       // pairs enumerated into this table
-	surv   []int32   // groups that survive pruning, in creation order
-	ub     []float64 // their score upper bounds
-
-	// Join scratch: per kept position b, the columns it shares with the
-	// current a (valid while stamp[b] == a), and the positions touched.
-	counts, stamp, touched []int32
-	buf                    []int // the union of the current pair
+	npairs int // compatible, feature-disjoint pairs
+	groups int // candidates formed, the count the budget bounds
 }
+
+// genWorker is one worker's join scratch: per kept position b, the columns
+// it shares with the current a (valid while stamp[b] == a), the positions
+// touched, the union of the current pair, one (L-1)-subset of it, and the
+// keep positions of the union's kept parents.
+type genWorker struct {
+	counts, stamp, touched []int32
+	buf, sub, par          []int
+}
+
+// chunksPerWorker splits the join into more ranges than workers, so that a
+// worker that drew light ranges takes over the rest: the work per kept slice
+// falls with its position, as later slices have fewer later partners.
+const chunksPerWorker = 8
 
 // pairCandidates generates, deduplicates and prunes the level-L slice
 // candidates from the evaluated level-(L-1) slices, following Section 4.3:
@@ -92,25 +94,28 @@ type genTable struct {
 //     sparse row-wise join over per-column posting lists,
 //  3. merge pairs into combined slices (P) and discard slices with multiple
 //     assignments per original feature,
-//  4. deduplicate via canonical slice identity (the paper's ND-array IDs
-//     followed by recoding; here a hash table over the sorted column tuples)
-//     while accumulating min-bounds and the parent-pair count, and
+//  4. deduplicate (L > 2): every pair of a candidate's kept parents is
+//     compatible, so the join meets each candidate once per such pair. The
+//     candidate is formed once, at its first-seen pair, where its other
+//     parents are looked up by column tuple among the kept slices (the
+//     paper's ND-array IDs; here a hash index, keptIndex). Its bounds are
+//     the minima over its kept parents and np is their count, and
 //  5. prune by Equation 9: ⌈ss⌉ >= σ ∧ ⌈sc⌉ > sc_k ∧ ⌈sc⌉ >= 0 ∧ np = L.
 //
-// With deduplication (L > 2) the join runs on matrix.MaxWorkers goroutines:
-// each scans every pair but keeps only the unions whose hash it owns, and
-// the survivors are merged back in first-seen order, so the output is the
-// same at any worker count. It returns the surviving candidates and a
-// per-rule pruning breakdown, and records the group, pair and worker counts
-// on sp. A nil level signals that candidate generation exceeded
-// MaxCandidatesPerLevel and enumeration must truncate.
+// The join is split into contiguous ranges of keep positions that
+// matrix.MaxWorkers goroutines take in turn. Each range keeps its survivors
+// in join order, and the ranges are concatenated in order, so the output is
+// the serial first-seen order at any worker count. It returns the surviving
+// candidates and a per-rule pruning breakdown, and records the group, pair
+// and worker counts on sp. A nil level signals that candidate generation
+// exceeded MaxCandidatesPerLevel and enumeration must truncate.
 func (st *state) pairCandidates(prev *level, L int, sck float64, sp *obs.Span) (*level, pruneStats) {
 	cfg := st.cfg
 	if st.gen == nil {
 		st.gen = &generator{}
 	}
 	g := st.gen
-	g.prev, g.L, g.sck = prev, L, sck
+	g.L, g.sck = L, sck
 	g.dedup = L > 2 && !cfg.DisableDedup
 
 	// Step 1: input filtering.
@@ -118,38 +123,48 @@ func (st *state) pairCandidates(prev *level, L int, sck float64, sp *obs.Span) (
 	if cfg.DisableSizePruning {
 		minSS = 1
 	}
-	g.keep = g.keep[:0]
+	g.kept.reset(L-1, prev.size())
+	g.ss, g.se, g.sm = g.ss[:0], g.se[:0], g.sm[:0]
 	for i := range prev.cols {
 		if prev.ss[i] >= minSS && prev.se[i] > 0 {
-			g.keep = append(g.keep, i)
+			g.kept.add(prev.cols[i])
+			g.ss = append(g.ss, prev.ss[i])
+			g.se = append(g.se, prev.se[i])
+			g.sm = append(g.sm, prev.sm[i])
 		}
 	}
+	nkeep := len(g.ss)
 	if L > 2 {
 		g.buildPostings(len(st.featOf))
 	}
 
-	workers := 1
-	if g.dedup {
-		workers = matrix.MaxWorkers()
+	nchunks := min(nkeep, chunksPerWorker*matrix.MaxWorkers())
+	workers := max(1, min(matrix.MaxWorkers(), nchunks))
+	for len(g.chunks) < nchunks {
+		g.chunks = append(g.chunks, genChunk{})
 	}
-	for len(g.tabs) < workers {
-		g.tabs = append(g.tabs, genTable{})
+	for len(g.workers) < workers {
+		g.workers = append(g.workers, genWorker{})
 	}
-	tabs := g.tabs[:workers]
+	chunks := g.chunks[:nchunks]
+	for k := range chunks {
+		chunks[k].reset()
+	}
+	g.next.Store(0)
 	g.total.Store(0)
 	for w := 1; w < workers; w++ {
 		g.wg.Add(1)
-		go func(w int) {
+		go func(wk *genWorker) {
 			defer g.wg.Done()
-			st.generate(w, workers)
-		}(w)
+			st.generate(wk, nchunks)
+		}(&g.workers[w])
 	}
-	st.generate(0, workers)
+	st.generate(&g.workers[0], nchunks)
 	g.wg.Wait()
 
 	groups, npairs := g.total.Load(), 0
-	for w := range tabs {
-		npairs += tabs[w].npairs
+	for k := range chunks {
+		npairs += chunks[k].npairs
 	}
 	sp.SetInt("groups", groups)
 	sp.SetInt("pairs", int64(npairs))
@@ -160,9 +175,9 @@ func (st *state) pairCandidates(prev *level, L int, sck float64, sp *obs.Span) (
 
 	var pr pruneStats
 	n := 0
-	for w := range tabs {
-		pr.add(tabs[w].pr)
-		n += len(tabs[w].surv)
+	for k := range chunks {
+		pr.add(chunks[k].pr)
+		n += len(chunks[k].ub)
 	}
 	out := &level{
 		cols: make([][]int, n),
@@ -174,32 +189,18 @@ func (st *state) pairCandidates(prev *level, L int, sck float64, sp *obs.Span) (
 	if cfg.PriorityEnumeration && n > 0 {
 		out.ub = make([]float64, n)
 	}
-	// Concatenate the survivors in first-seen order. Each table holds its
-	// groups in creation order, so this is a k-way merge on seq.
+	// Concatenate the chunks' survivors in chunk order.
 	flat := make([]int, n*L)
-	g.heads = g.heads[:0]
-	for range tabs {
-		g.heads = append(g.heads, 0)
-	}
-	for k := 0; k < n; k++ {
-		best, bestSeq := -1, uint64(0)
-		for w := range tabs {
-			if h := g.heads[w]; h < len(tabs[w].surv) {
-				if s := tabs[w].seq[tabs[w].surv[h]]; best < 0 || s < bestSeq {
-					best, bestSeq = w, s
-				}
-			}
-		}
-		t := &tabs[best]
-		h := g.heads[best]
-		grp := int(t.surv[h])
-		c := flat[k*L : (k+1)*L : (k+1)*L]
-		copy(c, t.cols[grp*L:])
-		out.cols[k] = c
+	k := 0
+	for c := range chunks {
+		copy(flat[k*L:], chunks[c].cols)
 		if out.ub != nil {
-			out.ub[k] = t.ub[h]
+			copy(out.ub[k:], chunks[c].ub)
 		}
-		g.heads[best] = h + 1
+		k += len(chunks[c].ub)
+	}
+	for k := range out.cols {
+		out.cols[k] = flat[k*L : (k+1)*L : (k+1)*L]
 	}
 	return out, pr
 }
@@ -207,147 +208,228 @@ func (st *state) pairCandidates(prev *level, L int, sck float64, sp *obs.Span) (
 // buildPostings fills the per-column posting lists of the kept slices by a
 // counting sort over their columns.
 func (g *generator) buildPostings(ncols int) {
-	cols, L1 := g.prev.cols, g.L-1
+	cols := g.kept.cols
 	g.postStart = resize32(g.postStart, ncols+1)
 	clear(g.postStart)
-	for _, i := range g.keep {
-		for _, c := range cols[i] {
-			g.postStart[c+1]++
-		}
+	for _, c := range cols {
+		g.postStart[c+1]++
 	}
 	for c := 0; c < ncols; c++ {
 		g.postStart[c+1] += g.postStart[c]
 	}
-	g.post = resize32(g.post, len(g.keep)*L1)
-	g.at = resize32(g.at, len(g.keep)*L1)
+	g.post = resize32(g.post, len(cols))
+	g.at = resize32(g.at, len(cols))
 	// Fill with postStart[c] as the cursor of column c, which leaves it at
-	// the start of column c+1; shift back afterwards.
-	for a, i := range g.keep {
-		for x, c := range cols[i] {
-			p := g.postStart[c]
-			g.post[p] = int32(a)
-			g.at[a*L1+x] = p
-			g.postStart[c] = p + 1
-		}
+	// the start of column c+1; shift back afterwards. The x-th column of
+	// keep position a is cols[a*(L-1)+x].
+	L1 := g.L - 1
+	for ax, c := range cols {
+		p := g.postStart[c]
+		g.post[p] = int32(ax / L1)
+		g.at[ax] = p
+		g.postStart[c] = p + 1
 	}
 	copy(g.postStart[1:], g.postStart[:ncols])
 	g.postStart[0] = 0
 }
 
-// generate runs worker w of workers: the join over all kept pairs, keeping
-// the unions hashed to w, followed by the Equation 9 pruning of its groups.
-func (st *state) generate(w, workers int) {
+// generate runs one worker: it takes the chunks in turn and joins each,
+// until no chunk is left or the candidate budget is exceeded. It works on
+// local copies of its scratch and of the chunk at hand, so that no two
+// workers write to one cache line.
+func (st *state) generate(w *genWorker, nchunks int) {
 	g := st.gen
-	t := &g.tabs[w]
-	L, keep, cols := g.L, g.keep, g.prev.cols
-	t.reset(L, len(keep))
-	limit := int64(st.cfg.MaxCandidatesPerLevel)
-	flushed := 0
-	for a, i := range keep {
-		// The candidate budget is checked before each kept slice, on the
-		// groups of all workers: the running total only grows, so once it
-		// exceeds the budget the final total does too.
-		if g.total.Add(int64(len(t.dead)-flushed)) > limit {
-			return
+	nkeep := len(g.ss)
+	wk := *w
+	wk.reset(g.L, nkeep)
+	for {
+		k := int(g.next.Add(1) - 1)
+		if k >= nchunks || g.total.Load() > int64(st.cfg.MaxCandidatesPerLevel) {
+			break
 		}
-		flushed = len(t.dead)
+		c := g.chunks[k]
+		within := st.joinChunk(&c, &wk, k*nkeep/nchunks, (k+1)*nkeep/nchunks)
+		g.chunks[k] = c
+		if !within {
+			break
+		}
+	}
+	*w = wk
+}
+
+// joinChunk joins each kept position a in [lo, hi) with its later partners
+// b, in the serial join order. It stops early and reports false once the
+// groups of all workers exceed the candidate budget.
+func (st *state) joinChunk(c *genChunk, wk *genWorker, lo, hi int) bool {
+	g := st.gen
+	L, nkeep, cols := g.L, len(g.ss), g.kept.cols
+	limit := int64(st.cfg.MaxCandidatesPerLevel)
+	for a := lo; a < hi; a++ {
+		before := c.groups
 		if L == 2 {
 			// Basic slices overlap in L-2 = 0 predicates: every
 			// cross-feature pair is compatible.
-			fi := st.featOf[cols[i][0]]
-			for b := a + 1; b < len(keep); b++ {
-				if j := keep[b]; st.featOf[cols[j][0]] != fi {
-					st.addPair(t, i, j, w, workers, uint64(a)<<32|uint64(b))
+			fi := st.featOf[cols[a]]
+			for b := a + 1; b < nkeep; b++ {
+				if st.featOf[cols[b]] != fi {
+					st.addPair(c, wk, a, b)
 				}
 			}
-			continue
-		}
-		// Sparse self-join: count co-occurrences with later kept slices
-		// through the posting lists; partners are those sharing exactly L-2
-		// columns (the = (L-2) comparison on SSᵀ). Each list is ascending,
-		// so the later slices follow a's own entry.
-		t.touched = t.touched[:0]
-		for x, c := range cols[i] {
-			for _, b := range g.post[g.at[a*(L-1)+x]+1 : g.postStart[c+1]] {
-				if t.stamp[b] != int32(a) {
-					t.stamp[b] = int32(a)
-					t.counts[b] = 0
-					t.touched = append(t.touched, b)
+		} else {
+			// Sparse self-join: count co-occurrences with later kept slices
+			// through the posting lists; partners are those sharing exactly
+			// L-2 columns (the = (L-2) comparison on SSᵀ). Each list is
+			// ascending, so the later slices follow a's own entry.
+			wk.touched = wk.touched[:0]
+			for x, col := range g.kept.tuple(a) {
+				for _, b := range g.post[g.at[a*(L-1)+x]+1 : g.postStart[col+1]] {
+					if wk.stamp[b] != int32(a) {
+						wk.stamp[b] = int32(a)
+						wk.counts[b] = 0
+						wk.touched = append(wk.touched, b)
+					}
+					wk.counts[b]++
 				}
-				t.counts[b]++
+			}
+			for _, b := range wk.touched {
+				if wk.counts[b] == int32(L-2) {
+					st.addPair(c, wk, a, int(b))
+				}
 			}
 		}
-		for k, b := range t.touched {
-			if t.counts[b] == int32(L-2) {
-				st.addPair(t, i, keep[b], w, workers, uint64(a)<<32|uint64(k))
-			}
+		// The budget is checked on the groups of all workers: the running
+		// total only grows, so once it exceeds the budget the final total
+		// does too.
+		if d := c.groups - before; d > 0 && g.total.Add(int64(d)) > limit {
+			return false
 		}
 	}
-	g.total.Add(int64(len(t.dead) - flushed))
-	st.prune(t)
+	return true
 }
 
-// addPair merges the compatible pair (i, j) into the candidate it generates,
-// unless another worker owns that candidate.
-func (st *state) addPair(t *genTable, i, j, w, workers int, seq uint64) {
+// addPair handles the compatible pair of kept positions a < b: without
+// deduplication the pair is its own candidate; with it, the pair forms the
+// candidate of its union only if it is the union's first-seen pair.
+func (st *state) addPair(c *genChunk, wk *genWorker, a, b int) {
 	g := st.gen
-	prev := g.prev
-	u := mergeCols(t.buf[:0], prev.cols[i], prev.cols[j], g.L)
-	if u == nil {
-		return
-	}
-	var h uint64
-	if g.dedup {
-		h = hashCols(u)
-		// The high hash bits pick the owner; the low ones index its slots.
-		if int((h>>32)*uint64(workers)>>32) != w {
-			return
-		}
-	}
+	u := mergeCols(wk.buf[:0], g.kept.tuple(a), g.kept.tuple(b), g.L)
 	// Reject unions where two columns map to the same original feature
 	// (step 3's rowSums(P[,beg:end]) <= 1 check).
-	if !st.featuresDisjoint(u) {
+	if u == nil || !st.featuresDisjoint(u) {
 		return
 	}
-	t.npairs++
-	ss := math.Min(prev.ss[i], prev.ss[j])
-	se := math.Min(prev.se[i], prev.se[j])
-	sm := math.Min(prev.sm[i], prev.sm[j])
-	if !g.dedup {
-		// No dedup matrix M needed: either the ablation disabled it
-		// (config 5: every pair is its own candidate, bounds from its two
-		// parents only), or L == 2, where the 2-column union uniquely
-		// identifies its basic-slice pair so no duplicates can arise and
-		// both parents are always enumerated (np = 2 = L).
-		if dead, bySize := st.pairDead(ss, se, sm); dead {
-			if bySize {
-				t.pr.pairSize++
-			} else {
-				t.pr.pairScore++
-			}
-			return
+	if g.dedup {
+		if par := st.firstSeenParents(wk, u, a, b); par != nil {
+			c.npairs += len(par) * (len(par) - 1) / 2
+			c.groups++
+			st.pruneGroup(c, u, par)
 		}
-		t.add(u, ss, se, sm, seq)
 		return
 	}
-	k := t.find(u, h, seq)
-	t.pairs[k]++
-	if t.dead[k] {
-		return // the group bound can only be tighter
-	}
-	if dead, _ := st.pairDead(ss, se, sm); dead {
-		t.dead[k] = true
+	// No dedup matrix M needed: either the ablation disabled it (config 5:
+	// every pair is its own candidate, bounds from its two parents only), or
+	// L == 2, where the 2-column union uniquely identifies its basic-slice
+	// pair so no duplicates can arise and both parents are always
+	// enumerated (np = 2 = L).
+	c.npairs++
+	ss := math.Min(g.ss[a], g.ss[b])
+	se := math.Min(g.se[a], g.se[b])
+	sm := math.Min(g.sm[a], g.sm[b])
+	if dead, bySize := st.pairDead(ss, se, sm); dead {
+		if bySize {
+			c.pr.pairSize++
+		} else {
+			c.pr.pairScore++
+		}
 		return
 	}
-	if ss < t.ssUB[k] {
-		t.ssUB[k] = ss
+	c.groups++
+	c.emit(u, st.sc.upperBound(ss, se, sm))
+}
+
+// firstSeenParents returns the keep positions of the kept parents of u, the
+// union of the kept positions a < b, or nil if an earlier pair of the serial
+// join also forms u. Any two kept parents of u share L-2 columns, so the join
+// meets u at each of their pairs, ordered by a, then by a's touched order:
+// first the partners that contain a's first column, then those that lack
+// it, each by keep position. Hence (a, b) is u's first-seen pair when no
+// other kept parent precedes a and none precedes b in a's touched order.
+func (st *state) firstSeenParents(wk *genWorker, u []int, a, b int) []int {
+	g := st.gen
+	ca, cb := g.kept.tuple(a), g.kept.tuple(b)
+	// The parent without u[r] is u minus u[r]: a lacks u[p], b lacks u[q].
+	p, q := missingCol(ca, u), missingCol(cb, u)
+	first := ca[0]
+	bLacks := u[q] == first
+	par := append(wk.par[:0], a, b)
+	for r := range u {
+		if r == p || r == q {
+			continue
+		}
+		sub := append(append(wk.sub[:0], u[:r]...), u[r+1:]...)
+		pos := g.kept.find(sub)
+		if pos < 0 {
+			continue // a pruned parent
+		}
+		if lacks := u[r] == first; pos < a || lacks == bLacks && pos < b || bLacks && !lacks {
+			return nil
+		}
+		par = append(par, pos)
 	}
-	if se < t.seUB[k] {
-		t.seUB[k] = se
+	wk.par = par
+	return par
+}
+
+// missingCol returns the index in the sorted union u of the one column that
+// its sorted (len(u)-1)-subset s lacks.
+func missingCol(s, u []int) int {
+	for k, c := range s {
+		if c != u[k] {
+			return k
+		}
 	}
-	if sm < t.smUB[k] {
-		t.smUB[k] = sm
+	return len(s)
+}
+
+// pruneGroup applies Equation 9 to the candidate u, whose kept parents are
+// the keep positions par, and keeps it in c if it survives.
+func (st *state) pruneGroup(c *genChunk, u, par []int) {
+	cfg, g := st.cfg, st.gen
+	// A candidate's bound is the min over all its parent pairs, so one
+	// failing pair condemns it.
+	for x, i := range par {
+		for _, j := range par[x+1:] {
+			ss := math.Min(g.ss[i], g.ss[j])
+			se := math.Min(g.se[i], g.se[j])
+			sm := math.Min(g.sm[i], g.sm[j])
+			if dead, _ := st.pairDead(ss, se, sm); dead {
+				c.pr.dead++
+				return
+			}
+		}
 	}
+	ss, se, sm := math.Inf(1), math.Inf(1), math.Inf(1)
+	for _, i := range par {
+		ss = math.Min(ss, g.ss[i])
+		se = math.Min(se, g.se[i])
+		sm = math.Min(sm, g.sm[i])
+	}
+	if !cfg.DisableSizePruning && ss < float64(cfg.Sigma) {
+		c.pr.size++
+		return
+	}
+	ub := st.sc.upperBound(ss, se, sm)
+	if !cfg.DisableScorePruning && (ub <= g.sck || ub < 0) {
+		c.pr.score++
+		return
+	}
+	// Missing-parent handling: a level-L slice has L parents; if any was
+	// pruned earlier, every extension is prunable too.
+	if !cfg.DisableParentHandling && len(par) != g.L {
+		c.pr.parents++
+		return
+	}
+	c.emit(u, ub)
 }
 
 // pairDead applies the bounds of one pair: a candidate's bound is the min
@@ -364,129 +446,93 @@ func (st *state) pairDead(ss, se, sm float64) (dead, bySize bool) {
 	return false, false
 }
 
-// prune applies the group-level pruning of Equation 9 to t's groups and
-// collects the survivors.
-func (st *state) prune(t *genTable) {
-	cfg, L := st.cfg, st.gen.L
-	sigma := float64(cfg.Sigma)
-	parentCheck := st.gen.dedup && !cfg.DisableParentHandling
-	t.surv, t.ub = t.surv[:0], t.ub[:0]
-	for k := range t.dead {
-		if t.dead[k] {
-			t.pr.dead++
-			continue
-		}
-		if !cfg.DisableSizePruning && t.ssUB[k] < sigma {
-			t.pr.size++
-			continue
-		}
-		ub := st.sc.upperBound(t.ssUB[k], t.seUB[k], t.smUB[k])
-		if !cfg.DisableScorePruning && (ub <= st.gen.sck || ub < 0) {
-			t.pr.score++
-			continue
-		}
-		// Missing-parent handling: a level-L slice has L parents; if any was
-		// pruned earlier, every extension is prunable too. The kept slices
-		// are distinct, and any two of a group's kept parents share exactly
-		// L-2 columns, so the join enumerates each such pair once (a < b):
-		// k kept parents yield C(k,2) pairs, and np == L exactly when
-		// pairs == L(L-1)/2.
-		if parentCheck && int(t.pairs[k]) != L*(L-1)/2 {
-			t.pr.parents++
-			continue
-		}
-		t.surv = append(t.surv, int32(k))
-		t.ub = append(t.ub, ub)
+// reset empties c for a new level, keeping its buffers.
+func (c *genChunk) reset() {
+	c.cols, c.ub = c.cols[:0], c.ub[:0]
+	c.pr, c.npairs, c.groups = pruneStats{}, 0, 0
+}
+
+// emit keeps the candidate u with score upper bound ub.
+func (c *genChunk) emit(u []int, ub float64) {
+	c.cols = append(c.cols, u...)
+	c.ub = append(c.ub, ub)
+}
+
+// reset prepares wk for a join over nkeep kept slices into L-column unions,
+// keeping its buffers.
+func (wk *genWorker) reset(L, nkeep int) {
+	wk.counts = resize32(wk.counts, nkeep)
+	wk.stamp = resize32(wk.stamp, nkeep)
+	for b := range wk.stamp {
+		wk.stamp[b] = -1
+	}
+	if cap(wk.buf) < L+1 {
+		wk.buf = make([]int, 0, L+1)
+		wk.sub = make([]int, 0, L)
+		wk.par = make([]int, 0, L)
 	}
 }
 
-// reset empties t for a level of L-column candidates joined from nkeep
-// slices, keeping its buffers.
-func (t *genTable) reset(L, nkeep int) {
-	t.cols = t.cols[:0]
-	t.ssUB, t.seUB, t.smUB = t.ssUB[:0], t.seUB[:0], t.smUB[:0]
-	t.pairs, t.dead, t.seq = t.pairs[:0], t.dead[:0], t.seq[:0]
-	clear(t.slots)
-	t.pr, t.npairs = pruneStats{}, 0
-	t.counts = resize32(t.counts, nkeep)
-	t.stamp = resize32(t.stamp, nkeep)
-	for b := range t.stamp {
-		t.stamp[b] = -1
-	}
-	if cap(t.buf) < L+1 {
-		t.buf = make([]int, 0, L+1)
-	}
+// keptIndex holds the kept slices of the previous level as flat column
+// tuples and finds one by its sorted tuple — the role of the paper's
+// ND-array slice IDs — in an open-addressing hash index probed linearly from
+// hashCols. The tuple at keep position p is cols[p*w:(p+1)*w], and slots
+// holds positions+1 (0 = empty). It has one entry per kept slice, far fewer
+// than the candidates it identifies, so it stays cache-resident.
+type keptIndex struct {
+	w     int
+	cols  []int
+	slots []int32
 }
 
-// add appends a group with columns u and the given bounds, returning its
-// index.
-func (t *genTable) add(u []int, ss, se, sm float64, seq uint64) int {
-	if len(t.dead) == cap(t.dead) {
-		t.reserve(len(u))
+// reset empties x for up to n distinct tuples of width w, keeping its
+// buffers; the slot table stays at most half full.
+func (x *keptIndex) reset(w, n int) {
+	x.w, x.cols = w, x.cols[:0]
+	size := 256
+	for size < 2*n {
+		size *= 2
 	}
-	t.cols = append(t.cols, u...)
-	t.ssUB = append(t.ssUB, ss)
-	t.seUB = append(t.seUB, se)
-	t.smUB = append(t.smUB, sm)
-	t.pairs = append(t.pairs, 0)
-	t.dead = append(t.dead, false)
-	t.seq = append(t.seq, seq)
-	return len(t.dead) - 1
+	x.slots = resize32(x.slots, size)
+	clear(x.slots)
 }
 
-// reserve doubles the group capacity of every array at once; append alone
-// grows large slices by 1.25×, copying each array about five times over.
-func (t *genTable) reserve(L int) {
-	n := max(2*cap(t.dead), 1024)
-	t.cols = slices.Grow(t.cols, n*L-len(t.cols))
-	t.ssUB = slices.Grow(t.ssUB, n-len(t.ssUB))
-	t.seUB = slices.Grow(t.seUB, n-len(t.seUB))
-	t.smUB = slices.Grow(t.smUB, n-len(t.smUB))
-	t.pairs = slices.Grow(t.pairs, n-len(t.pairs))
-	t.dead = slices.Grow(t.dead, n-len(t.dead))
-	t.seq = slices.Grow(t.seq, n-len(t.seq))
+// add appends u at the next keep position and indexes it. Among equal
+// tuples, which only the no-dedup ablation produces, find returns the first.
+func (x *keptIndex) add(u []int) {
+	p := len(x.cols) / x.w
+	x.cols = append(x.cols, u...)
+	mask := uint64(len(x.slots) - 1)
+	s := hashCols(u) & mask
+	for x.slots[s] != 0 {
+		s = (s + 1) & mask
+	}
+	x.slots[s] = int32(p + 1)
 }
 
-// find returns the group with columns u (hash h), adding it with neutral
-// bounds and first-seen position seq when absent.
-func (t *genTable) find(u []int, h, seq uint64) int {
-	if 2*(len(t.dead)+1) > len(t.slots) {
-		t.grow(len(u))
-	}
-	L, mask := len(u), uint64(len(t.slots)-1)
-	for s := h & mask; ; s = (s + 1) & mask {
-		e := t.slots[s]
+// tuple returns the tuple at keep position p.
+func (x *keptIndex) tuple(p int) []int {
+	return x.cols[p*x.w : (p+1)*x.w : (p+1)*x.w]
+}
+
+// find returns the keep position of u, or -1 if u is not a kept slice.
+func (x *keptIndex) find(u []int) int {
+	mask := uint64(len(x.slots) - 1)
+	for s := hashCols(u) & mask; ; s = (s + 1) & mask {
+		e := int(x.slots[s])
 		if e == 0 {
-			t.slots[s] = int32(len(t.dead) + 1)
-			return t.add(u, math.Inf(1), math.Inf(1), math.Inf(1), seq)
+			return -1
 		}
-		if g := int(e - 1); equalCols(t.cols[g*L:(g+1)*L], u) {
-			return g
+		if p := e - 1; equalCols(x.cols[p*x.w:(p+1)*x.w], u) {
+			return p
 		}
-	}
-}
-
-// grow doubles the slot table and reinserts every group of width L.
-func (t *genTable) grow(L int) {
-	n := 2 * len(t.slots)
-	if n < 256 {
-		n = 256
-	}
-	t.slots = make([]int32, n)
-	mask := uint64(n - 1)
-	for g := range t.dead {
-		s := hashCols(t.cols[g*L:(g+1)*L]) & mask
-		for t.slots[s] != 0 {
-			s = (s + 1) & mask
-		}
-		t.slots[s] = int32(g + 1)
 	}
 }
 
 // hashCols hashes a sorted column tuple — the role of the paper's
 // overflow-free ND-array slice IDs: one FNV-1a step per whole column id,
-// finished with the splitmix64 avalanche so that the low bits (slot) and the
-// high bits (owning worker) are both well mixed.
+// finished with the splitmix64 avalanche so that the low bits, which pick
+// the slot, are well mixed.
 func hashCols(u []int) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range u {
@@ -559,13 +605,4 @@ func equalCols(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func lessCols(a, b []int) bool {
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			return a[k] < b[k]
-		}
-	}
-	return len(a) < len(b)
 }

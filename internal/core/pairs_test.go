@@ -39,39 +39,34 @@ func TestMergeCols(t *testing.T) {
 	}
 }
 
-// TestEncodeColsUniqueAndEqual pins the candidate identity of the dedup
-// table: equal column tuples find one group, different tuples stay distinct,
-// including large column ids (the overflow concern behind the paper's
-// ND-array IDs) and across slot-table growth.
+// TestEncodeColsUniqueAndEqual pins the slice identity of the previous-level
+// lookup: every inserted tuple finds its keep position, an absent tuple finds
+// none, and different tuples stay distinct, including large column ids (the
+// overflow concern behind the paper's ND-array IDs) and across thousands of
+// tuples.
 func TestEncodeColsUniqueAndEqual(t *testing.T) {
-	var tab genTable
-	tab.reset(3, 0)
-	find := func(u ...int) int { return tab.find(u, hashCols(u), 0) }
-	a, b, c := find(1, 2, 3), find(1, 2, 3), find(1, 2, 4)
-	if a != b {
-		t.Error("equal column lists must find one group")
+	tuples := [][]int{
+		{1, 2}, {1, 3}, {2, 3},
+		{1 << 30, 1 << 32}, {1 << 30, 1<<32 + 1}, {1<<30 + 1, 1 << 32},
 	}
-	if a == c {
-		t.Error("different column lists must find different groups")
-	}
-	x, y := find(1<<20, 1<<24, 1<<30), find(1<<20, 1<<24+1, 1<<30)
-	if x == y || x == a || y == a {
-		t.Error("large ids collide")
-	}
-	// Thousands of tuples force the slot table to grow; every tuple keeps
-	// its own group and finds it again afterwards.
-	groups := map[[3]int]int{}
 	for i := 0; i < 3000; i++ {
-		u := [3]int{i % 7, 100 + i/7, 1<<31 + i}
-		groups[u] = find(u[:]...)
+		tuples = append(tuples, []int{i % 7, 100 + i/7})
+		tuples = append(tuples, []int{1<<31 + i, 1<<32 + i})
 	}
-	for u, g := range groups {
-		if got := find(u[:]...); got != g {
-			t.Fatalf("tuple %v: group %d, then %d", u, g, got)
+	var x keptIndex
+	x.reset(2, len(tuples))
+	for _, u := range tuples {
+		x.add(u)
+	}
+	for p, u := range tuples {
+		if got := x.find(u); got != p {
+			t.Fatalf("tuple %v inserted at position %d, found at %d", u, p, got)
 		}
 	}
-	if len(tab.dead) != 4+len(groups) {
-		t.Fatalf("%d groups for %d distinct tuples", len(tab.dead), 4+len(groups))
+	for _, u := range [][]int{{1, 4}, {2, 1 << 30}, {1 << 30, 1<<32 + 2}, {6, 99}, {0, 1 << 31}} {
+		if got := x.find(u); got != -1 {
+			t.Errorf("absent tuple %v found at position %d", u, got)
+		}
 	}
 	// The hash sees whole column ids: no packing of ids into fewer bits.
 	if hashCols([]int{1, 2}) == hashCols([]int{1 << 32, 2}) {
@@ -89,18 +84,6 @@ func TestFeaturesDisjoint(t *testing.T) {
 	}
 	if st.featuresDisjoint([]int{2, 3, 4}) {
 		t.Error("columns 2,3 share feature 1")
-	}
-}
-
-func TestLessCols(t *testing.T) {
-	if !lessCols([]int{1, 2}, []int{1, 3}) {
-		t.Error("lexicographic comparison failed")
-	}
-	if !lessCols([]int{1}, []int{1, 0}) {
-		t.Error("prefix must compare smaller")
-	}
-	if lessCols([]int{2}, []int{1, 5}) {
-		t.Error("ordering inverted")
 	}
 }
 
@@ -182,12 +165,13 @@ func sameGeneration(got *level, gotPr pruneStats, want *level, wantPr pruneStats
 }
 
 // TestPairCandidatesMatchOracle runs the lattice of seeded random datasets
-// through the flat, partitioned generator and through the map-based oracle
-// it replaced, level by level, under every combination of the pruning
-// ablations, with and without priority enumeration, at 1, 2 and 4 workers,
-// and with the candidate budget just below, at and above each level's group
-// count. Both must agree on the candidates and their order, the upper
-// bounds, the per-rule pruning counts and truncation.
+// through the chunked, first-seen generator and through the map-based oracle,
+// level by level, under every combination of the pruning ablations, with and
+// without priority enumeration, at 1, 2, 3, 4 and 7 workers (uneven chunk
+// boundaries), with the candidate budget just below, at and above each
+// level's group count, and with each level handed on in generation order
+// (seed 1) or shuffled (seed 2). Both must agree on the candidates and their order,
+// the upper bounds, the per-rule pruning counts and truncation.
 func TestPairCandidatesMatchOracle(t *testing.T) {
 	defer matrix.SetMaxWorkers(matrix.SetMaxWorkers(1))
 	levels := map[int]int{}
@@ -209,11 +193,11 @@ func TestPairCandidatesMatchOracle(t *testing.T) {
 			}
 			for L := 2; L <= 5 && cur.size() > 0; L++ {
 				sck := tk.threshold()
-				// check compares the generator at 1, 2 and 4 workers with the
+				// check compares the generator at every worker count with the
 				// oracle under st.cfg, returning the oracle's result.
 				check := func() (*level, int) {
 					want, wantPr, groups := st.oraclePairCandidates(cur, L, sck)
-					for _, w := range []int{1, 2, 4} {
+					for _, w := range []int{1, 2, 3, 4, 7} {
 						matrix.SetMaxWorkers(w)
 						got, gotPr := st.pairCandidates(cur, L, sck, nil)
 						if d := sameGeneration(got, gotPr, want, wantPr); d != "" {
@@ -245,6 +229,12 @@ func TestPairCandidatesMatchOracle(t *testing.T) {
 				for i := range want.cols {
 					tk.offer(want.cols[i], want.sc[i], want.ss[i], want.se[i], want.sm[i])
 				}
+				if seed == 2 {
+					// Priority enumeration hands the next level over in bound
+					// order, not in generation order: the first-seen rule
+					// must hold for any order of its input.
+					shuffleLevel(rand.New(rand.NewSource(seed+int64(L))), want)
+				}
 				cur = want
 			}
 		}
@@ -254,6 +244,17 @@ func TestPairCandidatesMatchOracle(t *testing.T) {
 			t.Errorf("no configuration generated level %d", L)
 		}
 	}
+}
+
+// shuffleLevel permutes the slices of an evaluated level in place.
+func shuffleLevel(rng *rand.Rand, lv *level) {
+	rng.Shuffle(lv.size(), func(i, j int) {
+		lv.cols[i], lv.cols[j] = lv.cols[j], lv.cols[i]
+		lv.sc[i], lv.sc[j] = lv.sc[j], lv.sc[i]
+		lv.se[i], lv.se[j] = lv.se[j], lv.se[i]
+		lv.sm[i], lv.sm[j] = lv.sm[j], lv.sm[i]
+		lv.ss[i], lv.ss[j] = lv.ss[j], lv.ss[i]
+	})
 }
 
 // maxGenAllocs bounds the allocations of one generation on warm scratch:

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime/pprof"
+	"strconv"
 	"time"
 
 	"sliceline/internal/frame"
@@ -192,36 +194,12 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 
 	res := &Result{N: int(sc.n), AvgError: sc.avgErr, Sigma: cfg.Sigma, Alpha: cfg.Alpha}
 
-	// b) Initialization: evaluate all basic (1-predicate) slices in
-	// vectorized form (Equation 4): ss0 = colSums(X), se0 = (eᵀ X)ᵀ, and
-	// sm0 the per-column max error. With weights, row i contributes w[i]
-	// to ss0 and w[i]·e[i] to se0.
+	// b) Initialization: evaluate all basic (1-predicate) slices.
 	initStart := time.Now()
-	var ss0, se0 []float64
-	if w == nil {
-		ss0 = matrix.ColSumsCSR(enc.X)
-		se0 = matrix.VecMatCSR(e, enc.X)
-	} else {
-		ss0 = matrix.VecMatCSR(w, enc.X)
-		we := make([]float64, n)
-		for i := range we {
-			we[i] = w[i] * e[i]
-		}
-		se0 = matrix.VecMatCSR(we, enc.X)
-	}
-	sm0 := make([]float64, enc.Width())
-	for i := 0; i < n; i++ {
-		if w != nil && w[i] == 0 {
-			continue // retired row: excluded from the max like every aggregate
-		}
-		ei := e[i]
-		colsI, _ := enc.X.RowEntries(i)
-		for _, c := range colsI {
-			if ei > sm0[c] {
-				sm0[c] = ei
-			}
-		}
-	}
+	var ss0, se0, sm0 []float64
+	pprof.Do(ctx, phaseLabels(1, "eval"), func(context.Context) {
+		ss0, se0, sm0 = basicSliceStats(enc.X, e, w)
+	})
 	evalL1 := time.Since(initStart)
 
 	// cI: valid basic slices (line 12 of Algorithm 1). With size pruning
@@ -345,7 +323,11 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 		lsp.SetInt("frontier", int64(cur.size()))
 		gsp := lsp.Child("core.generate")
 		genStart := time.Now()
-		cand, pstats := st.pairCandidates(cur, lvl, tk.threshold(), gsp)
+		var cand *level
+		var pstats pruneStats
+		pprof.Do(ctx, phaseLabels(lvl, "generate"), func(context.Context) {
+			cand, pstats = st.pairCandidates(cur, lvl, tk.threshold(), gsp)
+		})
 		genElapsed := time.Since(genStart)
 		gsp.End()
 		pruned := pstats.total()
@@ -387,22 +369,22 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 		// EvalElapsed covers the evaluation proper; priority enumeration
 		// interleaves its top-K offers with evaluation batches.
 		evalStart := time.Now()
-		var evalElapsed time.Duration
-		if cfg.PriorityEnumeration {
-			evaluated, extraPruned, err := st.evalWithPriority(lctx, cand, lvl, tk)
-			if err != nil {
-				lsp.End()
-				return nil, err
+		var err error
+		pprof.Do(lctx, phaseLabels(lvl, "eval"), func(ctx context.Context) {
+			if cfg.PriorityEnumeration {
+				var extraPruned int
+				cand, extraPruned, err = st.evalWithPriority(ctx, cand, lvl, tk)
+				pruned += extraPruned
+			} else {
+				err = st.evalSlices(ctx, cand, lvl)
 			}
-			evalElapsed = time.Since(evalStart)
-			cand = evaluated
-			pruned += extraPruned
-		} else {
-			if err := st.evalSlices(lctx, cand, lvl); err != nil {
-				lsp.End()
-				return nil, err
-			}
-			evalElapsed = time.Since(evalStart)
+		})
+		evalElapsed := time.Since(evalStart)
+		if err != nil {
+			lsp.End()
+			return nil, err
+		}
+		if !cfg.PriorityEnumeration {
 			for i := range cand.cols {
 				tk.offer(cand.cols[i], cand.sc[i], cand.ss[i], cand.se[i], cand.sm[i])
 			}
@@ -481,4 +463,42 @@ func countValid(l *level, sigma float64) int {
 		}
 	}
 	return valid
+}
+
+// phaseLabels are the profiler labels of one phase of one lattice level, so
+// that CPU profiles split by level and phase (go tool pprof -tagfocus
+// phase=generate); goroutines a phase starts inherit them.
+func phaseLabels(lvl int, phase string) pprof.LabelSet {
+	return pprof.Labels("level", strconv.Itoa(lvl), "phase", phase)
+}
+
+// basicSliceStats evaluates all basic (1-predicate) slices in vectorized form
+// (Equation 4): ss0 = colSums(X), se0 = (eᵀ X)ᵀ, and sm0 the per-column max
+// error. With weights, row i contributes w[i] to ss0 and w[i]·e[i] to se0.
+func basicSliceStats(x *matrix.CSR, e, w []float64) (ss0, se0, sm0 []float64) {
+	if w == nil {
+		ss0 = matrix.ColSumsCSR(x)
+		se0 = matrix.VecMatCSR(e, x)
+	} else {
+		ss0 = matrix.VecMatCSR(w, x)
+		we := make([]float64, len(e))
+		for i := range we {
+			we[i] = w[i] * e[i]
+		}
+		se0 = matrix.VecMatCSR(we, x)
+	}
+	sm0 = make([]float64, x.Cols())
+	for i := range e {
+		if w != nil && w[i] == 0 {
+			continue // retired row: excluded from the max like every aggregate
+		}
+		ei := e[i]
+		colsI, _ := x.RowEntries(i)
+		for _, c := range colsI {
+			if ei > sm0[c] {
+				sm0[c] = ei
+			}
+		}
+	}
+	return ss0, se0, sm0
 }

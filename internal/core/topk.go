@@ -71,3 +71,14 @@ func (t *topK) threshold() float64 {
 	}
 	return t.entries[len(t.entries)-1].score
 }
+
+// lessCols orders sorted column lists lexicographically, a proper prefix
+// first.
+func lessCols(a, b []int) bool {
+	for k := 0; k < len(a) && k < len(b); k++ {
+		if a[k] != b[k] {
+			return a[k] < b[k]
+		}
+	}
+	return len(a) < len(b)
+}

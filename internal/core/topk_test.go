@@ -60,3 +60,15 @@ func TestTopKSkipsWhenFullAndWorse(t *testing.T) {
 		t.Fatalf("entries = %+v", tk.entries)
 	}
 }
+
+func TestLessCols(t *testing.T) {
+	if !lessCols([]int{1, 2}, []int{1, 3}) {
+		t.Error("lexicographic comparison failed")
+	}
+	if !lessCols([]int{1}, []int{1, 0}) {
+		t.Error("prefix must compare smaller")
+	}
+	if lessCols([]int{2}, []int{1, 5}) {
+		t.Error("ordering inverted")
+	}
+}

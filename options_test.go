@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime/pprof"
+	"strconv"
 	"strings"
 	"testing"
 
 	"sliceline"
+	"sliceline/internal/core"
+	"sliceline/internal/matrix"
 )
 
 // optDataset builds a small deterministic dataset through the public API.
@@ -93,6 +97,52 @@ func TestOptionsWireObservability(t *testing.T) {
 		t.Fatalf("metrics registry not wired:\n%s", b.String())
 	}
 	_ = res
+}
+
+// labelEvaluator evaluates candidates with the local kernel and records, per
+// level, the profiler labels on the context it is handed.
+type labelEvaluator struct {
+	k      *core.Kernel
+	phases map[int]string // level → phase label seen by Eval
+	levels map[int]string // level → level label seen by Eval
+}
+
+func (le *labelEvaluator) Setup(_ context.Context, x *matrix.CSR, e []float64) error {
+	le.k = core.NewKernel(x, e, nil, core.BitsetAuto)
+	return nil
+}
+
+func (le *labelEvaluator) Eval(ctx context.Context, cols [][]int, level int) (ss, se, sm []float64, err error) {
+	le.phases[level], _ = pprof.Label(ctx, "phase")
+	le.levels[level], _ = pprof.Label(ctx, "level")
+	ss, se, sm = make([]float64, len(cols)), make([]float64, len(cols)), make([]float64, len(cols))
+	le.k.Eval(cols, level, 0, ss, se, sm)
+	return ss, se, sm, nil
+}
+
+// TestEvaluatorSeesProfilerLabels: each level's evaluation runs under the
+// profiler labels phase=eval and its level, so CPU profiles split by phase,
+// and the labels reach an evaluator passed with WithEvaluator.
+func TestEvaluatorSeesProfilerLabels(t *testing.T) {
+	ds, e := optDataset(t)
+	le := &labelEvaluator{phases: map[int]string{}, levels: map[int]string{}}
+	res, err := sliceline.RunContext(context.Background(), ds, e, sliceline.Config{K: 3, Sigma: 5},
+		sliceline.WithEvaluator(le))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(le.phases) == 0 {
+		t.Fatal("the evaluator was never called")
+	}
+	for _, ls := range res.Levels[1:] {
+		if ls.Candidates == 0 {
+			continue // nothing to evaluate
+		}
+		if le.phases[ls.Level] != "eval" || le.levels[ls.Level] != strconv.Itoa(ls.Level) {
+			t.Errorf("level %d evaluated under phase=%q level=%q, want phase=\"eval\" level=%q",
+				ls.Level, le.phases[ls.Level], le.levels[ls.Level], strconv.Itoa(ls.Level))
+		}
+	}
 }
 
 // TestWithResume: checkpoint options must round-trip through a resumed run.
