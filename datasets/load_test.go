@@ -81,7 +81,7 @@ func TestLoadCSVMalformedInputs(t *testing.T) {
 // signature (which is also what content-addresses server-side datasets).
 func TestLoadCSVDeterministicSignature(t *testing.T) {
 	sig := func(l *Loaded) uint64 {
-		return core.DataSignature(l.Enc, l.DS.Y, nil)
+		return core.DataSignature(l.DS, l.DS.Y, nil)
 	}
 	first, err := LoadCSV(strings.NewReader(sampleCSV), "label", 4)
 	if err != nil {
@@ -123,8 +123,8 @@ func TestLoadCSVFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := core.DataSignature(reloaded.Enc, reloaded.DS.Y, nil)
-	want := core.DataSignature(direct.Enc, direct.DS.Y, nil)
+	got := core.DataSignature(reloaded.DS, reloaded.DS.Y, nil)
+	want := core.DataSignature(direct.DS, direct.DS.Y, nil)
 	if got != want {
 		t.Fatalf("round-trip signature %x, direct load %x", got, want)
 	}

@@ -11,7 +11,6 @@ import (
 	"sliceline/internal/core"
 	"sliceline/internal/datagen"
 	"sliceline/internal/dist"
-	"sliceline/internal/frame"
 )
 
 func init() {
@@ -209,14 +208,10 @@ func runFig5(w io.Writer, opt Options) error {
 	}
 	fmt.Fprintln(tw)
 	for _, g := range gens {
-		enc, err := frame.OneHot(g.DS)
-		if err != nil {
-			return err
-		}
 		scoreRow := fmt.Sprintf("%s score", g.DS.Name)
 		sizeRow := fmt.Sprintf("%s size", g.DS.Name)
 		for _, a := range alphas {
-			res, err := core.Run(context.Background(), core.Input{DS: g.DS, Enc: enc, E: g.Err}, opt.config(core.Config{
+			res, err := core.Run(context.Background(), core.Input{DS: g.DS, E: g.Err}, opt.config(core.Config{
 				K: 10, Alpha: a, MaxLevel: 3,
 			}))
 			if err != nil {
@@ -249,10 +244,6 @@ func runSigma(w io.Writer, opt Options) error {
 	tw := table(w)
 	fmt.Fprintln(tw, "dataset\tsigma/n\tsigma\ttop-1 score\tevaluated\telapsed\ttruncated")
 	for _, g := range gens {
-		enc, err := frame.OneHot(g.DS)
-		if err != nil {
-			return err
-		}
 		n := g.DS.NumRows()
 		for _, f := range fracs {
 			sigma := int(f * float64(n))
@@ -260,7 +251,7 @@ func runSigma(w io.Writer, opt Options) error {
 				sigma = 1
 			}
 			start := time.Now()
-			res, err := core.Run(context.Background(), core.Input{DS: g.DS, Enc: enc, E: g.Err}, opt.config(core.Config{
+			res, err := core.Run(context.Background(), core.Input{DS: g.DS, E: g.Err}, opt.config(core.Config{
 				K: 10, Alpha: 0.95, Sigma: sigma, MaxLevel: 3,
 			}))
 			if err != nil {
@@ -325,14 +316,10 @@ func runFig6b(w io.Writer, opt Options) error {
 	}
 	fmt.Fprintln(tw, "\tauto")
 	for _, g := range gens {
-		enc, err := frame.OneHot(g.DS)
-		if err != nil {
-			return err
-		}
 		fmt.Fprint(tw, g.DS.Name)
 		for _, b := range append(blocks, 0) {
 			start := time.Now()
-			if _, err := core.Run(context.Background(), core.Input{DS: g.DS, Enc: enc, E: g.Err}, opt.config(core.Config{
+			if _, err := core.Run(context.Background(), core.Input{DS: g.DS, E: g.Err}, opt.config(core.Config{
 				Alpha: 0.95, MaxLevel: 3, BlockSize: b,
 			})); err != nil {
 				return err
@@ -389,10 +376,6 @@ func runFig7a(w io.Writer, opt Options) error {
 // localhost).
 func runFig7b(w io.Writer, opt Options) error {
 	g := datagen.USCensus(scaleFor(opt).uscensus, opt.seed())
-	enc, err := frame.OneHot(g.DS)
-	if err != nil {
-		return err
-	}
 	cfg := core.Config{Alpha: 0.95, MaxLevel: 3}
 
 	tw := table(w)
@@ -401,7 +384,7 @@ func runFig7b(w io.Writer, opt Options) error {
 		c := cfg
 		c.Evaluator = ev
 		start := time.Now()
-		res, err := core.Run(context.Background(), core.Input{DS: g.DS, Enc: enc, E: g.Err}, opt.config(c))
+		res, err := core.Run(context.Background(), core.Input{DS: g.DS, E: g.Err}, opt.config(c))
 		if err != nil {
 			return err
 		}
@@ -511,15 +494,11 @@ func runTable2(w io.Writer, opt Options) error {
 // SliceFinder-style heuristic lattice search.
 func runMLSys(w io.Writer, opt Options) error {
 	g := adultGen(opt)
-	enc, err := frame.OneHot(g.DS)
-	if err != nil {
-		return err
-	}
 	tw := table(w)
 	fmt.Fprintln(tw, "system\telapsed\ttop result")
 
 	start := time.Now()
-	res, err := core.Run(context.Background(), core.Input{DS: g.DS, Enc: enc, E: g.Err}, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3}))
+	res, err := core.Run(context.Background(), core.Input{DS: g.DS, E: g.Err}, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3}))
 	if err != nil {
 		return err
 	}
@@ -531,7 +510,7 @@ func runMLSys(w io.Writer, opt Options) error {
 	fmt.Fprintf(tw, "SliceLine (fused sparse)\t%s\t%s\n", fmtDur(fused), top)
 
 	start = time.Now()
-	resD, err := core.Run(context.Background(), core.Input{DS: g.DS, Enc: enc, E: g.Err}, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3, DenseEval: true}))
+	resD, err := core.Run(context.Background(), core.Input{DS: g.DS, E: g.Err}, opt.config(core.Config{Alpha: 0.95, MaxLevel: 3, DenseEval: true}))
 	if err != nil {
 		return err
 	}

@@ -29,11 +29,10 @@ import (
 // external evaluators are not supported (the lowering is weighted); diff
 // runs always evaluate locally.
 func RunDiff(ctx context.Context, in Input, eBase []float64, cfg Config) (*Result, error) {
-	enc, err := in.encoding()
-	if err != nil {
+	if err := validateDataset(in.DS); err != nil {
 		return nil, err
 	}
-	n := enc.X.Rows()
+	n := in.DS.NumRows()
 	if len(eBase) != n {
 		return nil, fmt.Errorf("core: baseline error vector length %d vs %d rows: %w", len(eBase), n, ErrBadErrorVector)
 	}
@@ -64,11 +63,11 @@ func RunDiff(ctx context.Context, in Input, eBase []float64, cfg Config) (*Resul
 		ones[i] = 1
 	}
 	start := time.Now()
-	regRes, err := run(ctx, enc, in.DS.Features, reg, ones, cfg, nil)
+	regRes, err := run(ctx, in.DS, reg, ones, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: diff regression direction: %w", err)
 	}
-	impRes, err := run(ctx, enc, in.DS.Features, imp, ones, cfg, nil)
+	impRes, err := run(ctx, in.DS, imp, ones, cfg, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: diff improvement direction: %w", err)
 	}

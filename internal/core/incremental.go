@@ -120,9 +120,9 @@ type IncrementalStats struct {
 }
 
 // Incremental maintains SliceLine top-K across dataset appends. Construction
-// captures a base encoding and error vector; Append folds in the output of a
-// frame.Appender batch plus the new rows' errors; Run evaluates the current
-// generation's exact top-K.
+// captures a base dataset, its encoding and error vector; Append folds in the
+// output of a frame.Appender batch plus the new rows' errors; Run evaluates
+// the current generation's exact top-K.
 //
 // The maintained result is bit-identical to a from-scratch Run over the
 // accumulated data at every generation (with Config.BitsetEval = BitsetOn on
@@ -142,22 +142,23 @@ type IncrementalStats struct {
 // Incremental is not safe for concurrent use: callers serialize Append and
 // Run (the server gives each monitored dataset one owning goroutine).
 type Incremental struct {
-	cfg   Config
-	feats []frame.Feature
-	enc   *frame.Encoding
-	e     []float64
-	memo  *sliceMemo
-	gen   int
+	cfg  Config
+	ds   *frame.Dataset
+	e    []float64
+	memo *sliceMemo
+	gen  int
 }
 
-// NewIncremental builds an incremental evaluator over a base encoding,
-// feature descriptors and error vector. The configuration is captured once
-// and reused every generation (σ defaulting still tracks the growing row
-// count, exactly as a batch run would resolve it). Configurations that
+// NewIncremental builds an incremental evaluator over a base dataset, its
+// one-hot encoding (frame.OneHot, or an Appender's) and error vector. Runs
+// read the dataset's rows like a batch Run; the encoding only seeds the
+// memo's packed columns and is not retained. The configuration is captured
+// once and reused every generation (σ defaulting still tracks the growing
+// row count, exactly as a batch run would resolve it). Configurations that
 // delegate or reorder evaluation — external evaluators, dense evaluation,
 // priority enumeration, checkpoint/resume — are rejected: the memo is the
 // evaluation path.
-func NewIncremental(enc *frame.Encoding, feats []frame.Feature, e []float64, cfg Config) (*Incremental, error) {
+func NewIncremental(ds *frame.Dataset, enc *frame.Encoding, e []float64, cfg Config) (*Incremental, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -171,17 +172,23 @@ func NewIncremental(enc *frame.Encoding, feats []frame.Feature, e []float64, cfg
 	case cfg.CheckpointPath != "" || cfg.Resume:
 		return nil, fmt.Errorf("core: incremental runs cannot use checkpoint/resume")
 	}
-	if len(e) != enc.X.Rows() {
-		return nil, fmt.Errorf("core: error vector length %d vs %d rows: %w", len(e), enc.X.Rows(), ErrBadErrorVector)
+	if err := validateDataset(ds); err != nil {
+		return nil, err
+	}
+	if enc.X.Rows() != ds.NumRows() || enc.NumFeatures() != ds.NumFeatures() {
+		return nil, fmt.Errorf("core: encoding is %d rows × %d features, dataset %d × %d",
+			enc.X.Rows(), enc.NumFeatures(), ds.NumRows(), ds.NumFeatures())
+	}
+	if len(e) != ds.NumRows() {
+		return nil, fmt.Errorf("core: error vector length %d vs %d rows: %w", len(e), ds.NumRows(), ErrBadErrorVector)
 	}
 	if err := ValidateVectors(e, nil); err != nil {
 		return nil, err
 	}
 	return &Incremental{
-		cfg:   cfg,
-		feats: append([]frame.Feature(nil), feats...),
-		enc:   enc,
-		e:     append([]float64(nil), e...),
+		cfg: cfg,
+		ds:  ds,
+		e:   append([]float64(nil), e...),
 		memo: &sliceMemo{
 			bits:    matrix.PackColumns(enc.X),
 			errs:    packErrors(e),
@@ -214,7 +221,7 @@ func (inc *Incremental) Stats() IncrementalStats {
 // the batch (len == res.NewRows) and obey the same finite e >= 0 contract as
 // a batch run.
 func (inc *Incremental) Append(res *frame.AppendResult, errs []float64) error {
-	if res == nil || res.Enc == nil {
+	if res == nil || res.DS == nil || res.Enc == nil {
 		return fmt.Errorf("core: nil append result")
 	}
 	if len(errs) != res.NewRows {
@@ -242,15 +249,14 @@ func (inc *Incremental) Append(res *frame.AppendResult, errs []float64) error {
 	e = append(append(e, inc.e...), errs...)
 	inc.memo.errs.extend(e, len(inc.e))
 	inc.e = e
-	inc.enc = res.Enc
-	inc.feats = append(inc.feats[:0:0], res.DS.Features...)
+	inc.ds = res.DS
 	inc.gen++
 	return nil
 }
 
 // Run evaluates the current generation and returns its exact top-K. The
-// result is bit-identical to Run over the accumulated encoding with
+// result is bit-identical to Run over the accumulated dataset with
 // BitsetEval = BitsetOn.
 func (inc *Incremental) Run(ctx context.Context) (*Result, error) {
-	return run(ctx, inc.enc, inc.feats, inc.e, nil, inc.cfg, inc.memo)
+	return run(ctx, inc.ds, inc.e, nil, inc.cfg, inc.memo)
 }

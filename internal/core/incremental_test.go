@@ -109,7 +109,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 		}
 		e := randomErrs(rng, len(base))
 		cfg := Config{K: 4, Sigma: 5, Alpha: 0.9}
-		inc, err := NewIncremental(enc, ds.Features, e, cfg)
+		inc, err := NewIncremental(ds, enc, e, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 			// sequential accumulation, the order the memo continues.
 			refCfg := cfg
 			refCfg.BitsetEval = BitsetOn
-			want, err := Run(context.Background(), Input{DS: ap.Dataset(), Enc: ap.Encoding(), E: e}, refCfg)
+			want, err := Run(context.Background(), Input{DS: ap.Dataset(), E: e}, refCfg)
 			if err != nil {
 				t.Fatalf("seed %d gen %d: reference run: %v", seed, gen, err)
 			}
@@ -172,7 +172,7 @@ func TestIncrementalMemoReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(enc, ds.Features, randomErrs(rng, len(base)), Config{K: 4, Sigma: 4, Alpha: 0.9})
+	inc, err := NewIncremental(ds, enc, randomErrs(rng, len(base)), Config{K: 4, Sigma: 4, Alpha: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +219,11 @@ func TestIncrementalRejectsConfigs(t *testing.T) {
 		"checkpoint": {CheckpointPath: t.TempDir() + "/ck"},
 		"resume":     {Resume: true},
 	} {
-		if _, err := NewIncremental(enc, ds.Features, e, cfg); err == nil {
+		if _, err := NewIncremental(ds, enc, e, cfg); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}
-	if _, err := NewIncremental(enc, ds.Features, e[:5], Config{}); err == nil {
+	if _, err := NewIncremental(ds, enc, e[:5], Config{}); err == nil {
 		t.Error("short error vector: want error")
 	}
 }
@@ -243,7 +243,7 @@ func TestIncrementalAppendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(enc, ds.Features, []float64{0, 1, 0}, Config{Sigma: 1})
+	inc, err := NewIncremental(ds, enc, []float64{0, 1, 0}, Config{Sigma: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestIncrementalErrorBitsAcrossAppends(t *testing.T) {
 	}
 	e := binaryErrs(len(base))
 	cfg := Config{K: 4, Sigma: 5, Alpha: 0.9}
-	inc, err := NewIncremental(enc, ds.Features, e, cfg)
+	inc, err := NewIncremental(ds, enc, e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestIncrementalErrorBitsAcrossAppends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(context.Background(), Input{DS: ap.Dataset(), Enc: ap.Encoding(), E: e}, refCfg)
+		want, err := Run(context.Background(), Input{DS: ap.Dataset(), E: e}, refCfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -230,10 +230,10 @@ func evalBitsetFrom(cb *matrix.ColumnBits, eb *errorBits, e, w []float64, cand [
 		return sumS, sumE, maxE
 	}
 	words := cb.Words()
-	// Hoist the first three column slices; deeper conjunctions (rare —
-	// lattice levels beyond 3 have few surviving candidates) index the
-	// packed storage per word. Below level 3, b and c alias a, so the
-	// unweighted loops can AND them unconditionally.
+	// Hoist the first three column slices. Below level 3, b and c alias a,
+	// so the unweighted loops can AND them unconditionally. Columns past the
+	// third (rare: lattice levels beyond 3 have few surviving candidates)
+	// are read per word straight from the packed array, all[col*words+k].
 	a := cb.Col(cand[0])
 	b, c := a, a
 	if nc > 1 {
@@ -242,12 +242,17 @@ func evalBitsetFrom(cb *matrix.ColumnBits, eb *errorBits, e, w []float64, cand [
 	if nc > 2 {
 		c = cb.Col(cand[2])
 	}
+	all := cb.Packed()
+	var deep []int
+	if nc > 3 {
+		deep = cand[3:]
+	}
 	// The first word drops the rows below from.
 	k := from >> 6
 	first := ^uint64(0) << uint(from&63)
 
 	if w != nil {
-		return evalWeightedFrom(cb, e, w, cand, k, first, a, b, c, sumS, sumE, maxE)
+		return evalWeightedFrom(e, w, nc, deep, all, words, k, first, a, b, c, sumS, sumE, maxE)
 	}
 	if eb.binary {
 		// Identity 3 (binary errors become a popcount): every error is 0
@@ -268,8 +273,8 @@ func evalBitsetFrom(cb *matrix.ColumnBits, eb *errorBits, e, w []float64, cand [
 		for mask := first; k < len(nz); k++ {
 			m := a[k] & b[k] & c[k] & mask
 			mask = ^uint64(0)
-			for j := 3; j < nc; j++ {
-				m &= cb.Col(cand[j])[k]
+			for _, col := range deep {
+				m &= all[col*words+k]
 			}
 			cnt += bits.OnesCount64(m)
 			ecnt += bits.OnesCount64(m & nz[k])
@@ -300,8 +305,11 @@ func evalBitsetFrom(cb *matrix.ColumnBits, eb *errorBits, e, w []float64, cand [
 		}
 		if nc > 2 {
 			m &= c[k]
-			for j := 3; j < nc && m != 0; j++ {
-				m &= cb.Col(cand[j])[k]
+			for _, col := range deep {
+				if m == 0 {
+					break
+				}
+				m &= all[col*words+k]
 			}
 		}
 		if m != 0 {
@@ -329,20 +337,24 @@ func evalBitsetFrom(cb *matrix.ColumnBits, eb *errorBits, e, w []float64, cand [
 }
 
 // evalWeightedFrom is evalBitsetFrom's loop for weighted errors, from word k
-// on (first masks the rows below from in that word). A zero-error row still
-// adds its weight, so every matching row is enumerated and no identity
-// applies; the columns are ANDed only while some row survives. It is a
-// function of its own so that its register allocation does not depend on
-// the unweighted loops (inline, the weighted bench read 5–10% slower).
-func evalWeightedFrom(cb *matrix.ColumnBits, e, w []float64, cand []int, k int, first uint64, a, b, c []uint64, sumS, sumE, maxE float64) (float64, float64, float64) {
-	nc, words := len(cand), cb.Words()
+// on (first masks the rows below from in that word). a, b and c are the
+// first three columns (aliased below level 3) and deep the rest, read per
+// word from all. A zero-error row still adds its weight, so every matching
+// row is enumerated and no identity applies; the columns are ANDed only
+// while some row survives. It is a function of its own so that its register
+// allocation does not depend on the unweighted loops (inline, the weighted
+// bench read 5–10% slower).
+func evalWeightedFrom(e, w []float64, nc int, deep []int, all []uint64, words, k int, first uint64, a, b, c []uint64, sumS, sumE, maxE float64) (float64, float64, float64) {
 	m := a[k] & first
 	for {
 		if m != 0 && nc > 1 {
 			if m &= b[k]; m != 0 && nc > 2 {
 				m &= c[k]
-				for j := 3; j < nc && m != 0; j++ {
-					m &= cb.Col(cand[j])[k]
+				for _, col := range deep {
+					if m == 0 {
+						break
+					}
+					m &= all[col*words+k]
 				}
 			}
 		}

@@ -8,7 +8,7 @@ import (
 	"sliceline/internal/frame"
 )
 
-func sigDataset(t *testing.T) (*frame.Encoding, []float64) {
+func sigDataset(t *testing.T) (*frame.Dataset, []float64) {
 	t.Helper()
 	ds := &frame.Dataset{
 		Name: "sig",
@@ -24,20 +24,16 @@ func sigDataset(t *testing.T) (*frame.Encoding, []float64) {
 			ds.X0.Set(i, j, v)
 		}
 	}
-	enc, err := frame.OneHot(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return enc, []float64{1, 0, 0.5, 0}
+	return ds, []float64{1, 0, 0.5, 0}
 }
 
 func TestSignatureDeterministic(t *testing.T) {
-	enc, e := sigDataset(t)
+	ds, e := sigDataset(t)
 	cfg := Config{K: 3, Alpha: 0.9}.WithDefaults(4)
-	if Signature(enc, e, nil, cfg) != Signature(enc, e, nil, cfg) {
+	if Signature(ds, e, nil, cfg) != Signature(ds, e, nil, cfg) {
 		t.Fatal("same inputs hash differently")
 	}
-	if DataSignature(enc, e, nil) != DataSignature(enc, e, nil) {
+	if DataSignature(ds, e, nil) != DataSignature(ds, e, nil) {
 		t.Fatal("same data hashes differently")
 	}
 	if ConfigSignature(cfg) != ConfigSignature(cfg) {
@@ -46,15 +42,15 @@ func TestSignatureDeterministic(t *testing.T) {
 }
 
 func TestDataSignatureSensitivity(t *testing.T) {
-	enc, e := sigDataset(t)
-	base := DataSignature(enc, e, nil)
+	ds, e := sigDataset(t)
+	base := DataSignature(ds, e, nil)
 
 	e2 := append([]float64(nil), e...)
 	e2[1] = 0.25
-	if DataSignature(enc, e2, nil) == base {
+	if DataSignature(ds, e2, nil) == base {
 		t.Fatal("changed error vector did not change the signature")
 	}
-	if DataSignature(enc, e, []float64{1, 1, 1, 2}) == base {
+	if DataSignature(ds, e, []float64{1, 1, 1, 2}) == base {
 		t.Fatal("adding weights did not change the signature")
 	}
 
@@ -68,11 +64,7 @@ func TestDataSignatureSensitivity(t *testing.T) {
 		ds2.X0.Set(i, 0, 1)
 		ds2.X0.Set(i, 1, 1+i%2)
 	}
-	enc2, err := frame.OneHot(ds2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if DataSignature(enc2, e, nil) == base {
+	if DataSignature(ds2, e, nil) == base {
 		t.Fatal("different matrix did not change the signature")
 	}
 }
@@ -123,11 +115,11 @@ func TestDefaultedConfigSignatureMatchesExplicit(t *testing.T) {
 // exactly Signature(...): a checkpoint written through the public run path
 // must load under the shared helper's value and be refused under any other.
 func TestCheckpointUsesSharedSignature(t *testing.T) {
-	enc, e := sigDataset(t)
+	ds, e := sigDataset(t)
 	cfg := Config{K: 2, Sigma: 1, Alpha: 0.9}.WithDefaults(4)
 	path := filepath.Join(t.TempDir(), "sig.ck")
 
-	ck := &checkpointer{path: path, sig: Signature(enc, e, nil, cfg)}
+	ck := &checkpointer{path: path, sig: Signature(ds, e, nil, cfg)}
 	if err := ck.save(1, newTopK(2, 1), &level{}, &Result{}); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +128,7 @@ func TestCheckpointUsesSharedSignature(t *testing.T) {
 	}
 
 	// Same signature loads.
-	load := &checkpointer{path: path, sig: Signature(enc, e, nil, cfg)}
+	load := &checkpointer{path: path, sig: Signature(ds, e, nil, cfg)}
 	if lvl, err := load.load(newTopK(2, 1), &level{}, &Result{}); err != nil || lvl != 1 {
 		t.Fatalf("load with matching signature: level %d, err %v", lvl, err)
 	}
@@ -144,7 +136,7 @@ func TestCheckpointUsesSharedSignature(t *testing.T) {
 	// A different config signature is refused.
 	other := cfg
 	other.K = cfg.K + 1
-	bad := &checkpointer{path: path, sig: Signature(enc, e, nil, other)}
+	bad := &checkpointer{path: path, sig: Signature(ds, e, nil, other)}
 	if _, err := bad.load(newTopK(2, 1), &level{}, &Result{}); err == nil {
 		t.Fatal("checkpoint with mismatched signature was accepted")
 	}

@@ -47,35 +47,31 @@ type state struct {
 	gen      *generator // candidate-generation scratch, reused across levels
 }
 
-// Input is the data of one enumeration run. DS supplies the feature names
-// and decode labels of the result; Enc, when non-nil, must be the one-hot
-// encoding of DS and saves re-encoding across parameter sweeps — when nil,
-// Run builds it with frame.OneHot(DS). E is the row-aligned error vector
-// (finite, e >= 0), typically ml.SquaredLoss or ml.Inaccuracy of a trained
-// model's predictions. W holds optional row weights (nil = unit weights):
-// row i counts as W[i] identical rows in every size and error aggregate, so
-// a dataset with duplicate rows can be deduplicated into (unique rows,
-// weights) and produces exactly the same top-K as its expanded form. Zero
-// weights are legal — a zero-weight row is excluded from every aggregate,
-// including the max tuple error, which is how windowed runs retire rows —
-// as long as the total weight is positive. Non-integer weights are permitted
-// (Slice.Size then reports the truncated weighted size).
+// Input is the data of one enumeration run. DS supplies the integer-encoded
+// rows X0 the run reads, and the feature names and decode labels of the
+// result. E is the row-aligned error vector (finite, e >= 0), typically
+// ml.SquaredLoss or ml.Inaccuracy of a trained model's predictions. W holds
+// optional row weights (nil = unit weights): row i counts as W[i] identical
+// rows in every size and error aggregate, so a dataset with duplicate rows
+// can be deduplicated into (unique rows, weights) and produces exactly the
+// same top-K as its expanded form. Zero weights are legal — a zero-weight
+// row is excluded from every aggregate, including the max tuple error, which
+// is how windowed runs retire rows — as long as the total weight is
+// positive. Non-integer weights are permitted (Slice.Size then reports the
+// truncated weighted size).
 type Input struct {
-	DS  *frame.Dataset
-	Enc *frame.Encoding
-	E   []float64
-	W   []float64
+	DS *frame.Dataset
+	E  []float64
+	W  []float64
 }
 
-// encoding returns in.Enc, one-hot encoding in.DS when it is nil.
-func (in Input) encoding() (*frame.Encoding, error) {
-	if in.DS == nil {
-		return nil, fmt.Errorf("core: Input.DS is nil: %w", ErrNoFeatures)
+// validateDataset runs frame.Dataset.Validate, the structural checks every
+// read of X0's rows in run relies on.
+func validateDataset(ds *frame.Dataset) error {
+	if ds == nil {
+		return fmt.Errorf("core: dataset is nil: %w", ErrNoFeatures)
 	}
-	if in.Enc != nil {
-		return in.Enc, nil
-	}
-	return frame.OneHot(in.DS)
+	return ds.Validate()
 }
 
 // Run executes SliceLine (Algorithm 1) on in and returns the top-K slices
@@ -85,11 +81,10 @@ func (in Input) encoding() (*frame.Encoding, error) {
 // for the level to finish. Row weights cannot be combined with an external
 // evaluator.
 func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
-	enc, err := in.encoding()
-	if err != nil {
+	if err := validateDataset(in.DS); err != nil {
 		return nil, err
 	}
-	return run(ctx, enc, in.DS.Features, in.E, in.W, cfg, nil)
+	return run(ctx, in.DS, in.E, in.W, cfg, nil)
 }
 
 // ValidateVectors checks a run's error vector and optional row weights:
@@ -120,13 +115,14 @@ func ValidateVectors(e, w []float64) error {
 	return nil
 }
 
-// run is the enumeration behind Run, RunDiff and Incremental.Run; memo is
-// non-nil only for incremental runs.
-func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w []float64, cfg Config, memo *sliceMemo) (*Result, error) {
+// run is the enumeration behind Run, RunDiff and Incremental.Run over a
+// valid dataset (frame.Dataset.Validate); memo is non-nil only for
+// incremental runs.
+func run(ctx context.Context, ds *frame.Dataset, e, w []float64, cfg Config, memo *sliceMemo) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := enc.X.Rows()
+	n := ds.NumRows()
 	if len(e) != n {
 		return nil, fmt.Errorf("core: error vector length %d vs %d rows: %w", len(e), n, ErrBadErrorVector)
 	}
@@ -138,9 +134,6 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	}
 	if w != nil && cfg.Evaluator != nil {
 		return nil, fmt.Errorf("core: %w", ErrWeightedEvaluator)
-	}
-	if len(feats) != enc.NumFeatures() {
-		return nil, fmt.Errorf("core: %d feature descriptors vs %d encoded features: %w", len(feats), enc.NumFeatures(), ErrNoFeatures)
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("core: %w", ErrEmptyDataset)
@@ -159,7 +152,9 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	}
 	start := time.Now()
 
-	st := &state{cfg: cfg, sc: sc, e: e, w: w, m: enc.NumFeatures(), memo: memo, ob: newCoreObs(cfg.Metrics)}
+	feats := ds.Features
+	beg, width := oneHotOffsets(feats)
+	st := &state{cfg: cfg, sc: sc, e: e, w: w, m: len(feats), memo: memo, ob: newCoreObs(cfg.Metrics)}
 	st.sigLevel = cfg.Significance
 	if st.sigLevel == 0 {
 		st.sigLevel = DefaultSignificance
@@ -183,8 +178,8 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	}
 	runSpan.SetInt("rows", int64(n))
 	runSpan.SetInt("features", int64(st.m))
-	runSpan.SetInt("onehot_width", int64(enc.Width()))
-	runSpan.SetInt("nnz", int64(enc.X.NNZ()))
+	runSpan.SetInt("onehot_width", int64(width))
+	runSpan.SetInt("nnz", int64(n*st.m))
 	runSpan.SetInt("k", int64(cfg.K))
 	runSpan.SetInt("sigma", int64(cfg.Sigma))
 	runSpan.SetFloat("alpha", cfg.Alpha)
@@ -194,29 +189,22 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 
 	res := &Result{N: int(sc.n), AvgError: sc.avgErr, Sigma: cfg.Sigma, Alpha: cfg.Alpha}
 
-	// b) Initialization: evaluate all basic (1-predicate) slices.
-	initStart := time.Now()
-	var ss0, se0, sm0 []float64
-	pprof.Do(ctx, phaseLabels(1, "eval"), func(context.Context) {
-		ss0, se0, sm0 = basicSliceStats(enc.X, e, w)
-	})
-	evalL1 := time.Since(initStart)
-
-	// cI: valid basic slices (line 12 of Algorithm 1). With size pruning
-	// disabled for the ablation study, only the non-zero constraints apply.
-	minSS := float64(cfg.Sigma)
-	if cfg.DisableSizePruning {
-		minSS = 1
-	}
+	// b) Initialization: evaluate all basic (1-predicate) slices, keep the
+	// valid ones and project X onto them (see setup.go).
+	var cs []colStat
 	var cI []int
-	for j := 0; j < enc.Width(); j++ {
-		if ss0[j] >= minSS && se0[j] > 0 {
-			cI = append(cI, j)
-		}
-	}
-
-	// Project X, the offsets and statistics to the reduced column space.
-	st.x = enc.X.SelectCols(cI)
+	var evalL1 time.Duration
+	setupSpan := runSpan.Child("core.setup")
+	pprof.Do(ctx, pprof.Labels("phase", "setup"), func(context.Context) {
+		initStart := time.Now()
+		cs = columnStats(ds, beg, width, e, w)
+		evalL1 = time.Since(initStart)
+		cI = validColumns(cs, cfg)
+		st.x = project(ds, beg, cs, cI)
+	})
+	setupSpan.SetInt("kept_cols", int64(len(cI)))
+	setupSpan.SetInt("reduced_nnz", int64(st.x.NNZ()))
+	setupSpan.End()
 	st.kernel = NewKernel(st.x, e, w, cfg.BitsetEval)
 	// The run span rides the context from here on, so external evaluators
 	// (and through them the distributed runtime) parent their spans under
@@ -232,22 +220,26 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 	st.featOf = make([]int, len(cI))
 	st.valOf = make([]int, len(cI))
 	cur := &level{}
-	for k, j := range cI {
-		st.featOf[k] = enc.FeatureOf(j)
-		st.valOf[k] = enc.ValueOf(j)
-		score := sc.score(ss0[j], se0[j])
+	f := 0
+	for k, c := range cI {
+		for f+1 < len(beg) && beg[f+1] <= c {
+			f++
+		}
+		st.featOf[k] = f
+		st.valOf[k] = c - beg[f] + 1
+		b := cs[c]
 		cur.cols = append(cur.cols, []int{k})
-		cur.sc = append(cur.sc, score)
-		cur.se = append(cur.se, se0[j])
-		cur.sm = append(cur.sm, sm0[j])
-		cur.ss = append(cur.ss, ss0[j])
+		cur.sc = append(cur.sc, sc.score(b.ss, b.se))
+		cur.se = append(cur.se, b.se)
+		cur.sm = append(cur.sm, b.sm)
+		cur.ss = append(cur.ss, b.ss)
 	}
 
 	tk := newTopK(cfg.K, float64(cfg.Sigma))
 
 	var ck *checkpointer
 	if cfg.CheckpointPath != "" {
-		ck = &checkpointer{path: cfg.CheckpointPath, sig: Signature(enc, e, w, cfg)}
+		ck = &checkpointer{path: cfg.CheckpointPath, sig: Signature(ds, e, w, cfg)}
 	}
 	resumedLevel := 0
 	if cfg.Resume && ck != nil {
@@ -272,7 +264,7 @@ func run(ctx context.Context, enc *frame.Encoding, feats []frame.Feature, e, w [
 		}
 		ls := LevelStats{
 			Level:       1,
-			Candidates:  enc.Width(),
+			Candidates:  width,
 			Valid:       countValid(cur, float64(cfg.Sigma)),
 			Elapsed:     time.Since(start),
 			EvalElapsed: evalL1,
@@ -470,35 +462,4 @@ func countValid(l *level, sigma float64) int {
 // phase=generate); goroutines a phase starts inherit them.
 func phaseLabels(lvl int, phase string) pprof.LabelSet {
 	return pprof.Labels("level", strconv.Itoa(lvl), "phase", phase)
-}
-
-// basicSliceStats evaluates all basic (1-predicate) slices in vectorized form
-// (Equation 4): ss0 = colSums(X), se0 = (eᵀ X)ᵀ, and sm0 the per-column max
-// error. With weights, row i contributes w[i] to ss0 and w[i]·e[i] to se0.
-func basicSliceStats(x *matrix.CSR, e, w []float64) (ss0, se0, sm0 []float64) {
-	if w == nil {
-		ss0 = matrix.ColSumsCSR(x)
-		se0 = matrix.VecMatCSR(e, x)
-	} else {
-		ss0 = matrix.VecMatCSR(w, x)
-		we := make([]float64, len(e))
-		for i := range we {
-			we[i] = w[i] * e[i]
-		}
-		se0 = matrix.VecMatCSR(we, x)
-	}
-	sm0 = make([]float64, x.Cols())
-	for i := range e {
-		if w != nil && w[i] == 0 {
-			continue // retired row: excluded from the max like every aggregate
-		}
-		ei := e[i]
-		colsI, _ := x.RowEntries(i)
-		for _, c := range colsI {
-			if ei > sm0[c] {
-				sm0[c] = ei
-			}
-		}
-	}
-	return ss0, se0, sm0
 }

@@ -119,26 +119,26 @@ func (sc *streamCase) randBatch(gen int, grow bool) [][]string {
 // incremental evaluator, then append several batches — including ones that
 // grow feature domains — and at EVERY generation require the maintained
 // top-K to be bit-identical (CompareExact) to a frozen from-scratch run over
-// the accumulated encoding under the same BitsetOn plan, and tolerance-equal
+// the accumulated dataset under the same BitsetOn plan, and tolerance-equal
 // to the builtin auto plan (different kernels may differ in the last ULP).
 func TestDiffStreamingGenerations(t *testing.T) {
 	const testName = "TestDiffStreamingGenerations"
 	ctx := context.Background()
 	for _, seed := range Seeds(seedCount(15, 4)) {
 		sc := genStreamCase(t, seed)
-		inc, err := core.NewIncremental(sc.enc, sc.ds.Features, sc.e, sc.cfg)
+		inc, err := core.NewIncremental(sc.ds, sc.enc, sc.e, sc.cfg)
 		if err != nil {
 			t.Fatalf("seed %d: NewIncremental: %v", seed, err)
 		}
 
-		curDS, curEnc := sc.ds, sc.enc
+		curDS := sc.ds
 		check := func(gen int) {
 			got, err := inc.Run(ctx)
 			if err != nil {
 				failf(t, testName, seed, "generation %d: incremental run: %v", gen, err)
 				return
 			}
-			ref, err := core.Run(ctx, core.Input{DS: curDS, Enc: curEnc, E: sc.e}, sc.cfg)
+			ref, err := core.Run(ctx, core.Input{DS: curDS, E: sc.e}, sc.cfg)
 			if err != nil {
 				failf(t, testName, seed, "generation %d: reference run: %v", gen, err)
 				return
@@ -148,7 +148,7 @@ func TestDiffStreamingGenerations(t *testing.T) {
 			}
 			autoCfg := sc.cfg
 			autoCfg.BitsetEval = core.BitsetAuto
-			alt, err := core.Run(ctx, core.Input{DS: curDS, Enc: curEnc, E: sc.e}, autoCfg)
+			alt, err := core.Run(ctx, core.Input{DS: curDS, E: sc.e}, autoCfg)
 			if err != nil {
 				failf(t, testName, seed, "generation %d: auto-plan run: %v", gen, err)
 				return
@@ -177,7 +177,7 @@ func TestDiffStreamingGenerations(t *testing.T) {
 				break
 			}
 			sc.e = append(append([]float64(nil), sc.e...), errs...)
-			curDS, curEnc = res.DS, res.Enc
+			curDS = res.DS
 			check(gen)
 			if gen2 := inc.Generation(); gen2 != gen {
 				t.Fatalf("seed %d: evaluator reports generation %d, want %d", seed, gen2, gen)

@@ -210,6 +210,10 @@ type Dataset struct {
 // Validate checks structural invariants: code ranges, alignment, and
 // positive domains. Enumeration correctness depends on codes forming the
 // continuous range 1..Domain per feature.
+//
+// The scan runs row by row, in X0's storage order. Only once it finds a
+// violation does the column-by-column pass below rebuild the error, so the
+// reported violation is always the first bad code of the first bad feature.
 func (d *Dataset) Validate() error {
 	if d.X0 == nil {
 		return fmt.Errorf("dataset %s: nil X0", d.Name)
@@ -219,6 +223,9 @@ func (d *Dataset) Validate() error {
 	}
 	if d.Y != nil && len(d.Y) != d.X0.Rows {
 		return fmt.Errorf("dataset %s: %d labels vs %d rows", d.Name, len(d.Y), d.X0.Rows)
+	}
+	if d.codesInRange() {
+		return nil
 	}
 	for j, f := range d.Features {
 		if f.Domain < 1 {
@@ -232,6 +239,32 @@ func (d *Dataset) Validate() error {
 		}
 	}
 	return nil
+}
+
+// codesInRange reports whether every domain is positive and every code of X0
+// lies in 1..Domain of its feature, scanning X0 row by row.
+func (d *Dataset) codesInRange() bool {
+	doms := make([]uint, len(d.Features))
+	for j, f := range d.Features {
+		if f.Domain < 1 {
+			return false
+		}
+		doms[j] = uint(f.Domain)
+	}
+	m := len(doms)
+	if m == 0 {
+		return true
+	}
+	data := d.X0.Data[:d.X0.Rows*m]
+	for lo := 0; lo < len(data); lo += m {
+		for j, v := range data[lo : lo+m] {
+			// v-1 wraps to a huge uint for v < 1.
+			if uint(v-1) >= doms[j] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // NumRows returns the number of rows.

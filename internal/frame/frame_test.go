@@ -163,6 +163,77 @@ func TestDatasetValidateRejectsBadCodes(t *testing.T) {
 	}
 }
 
+// TestDatasetValidateReportsFirstBadFeature: Validate scans rows, but with
+// several violations it still reports the first bad feature and, within it,
+// the first bad row, in the same words as a feature-by-feature scan.
+func TestDatasetValidateReportsFirstBadFeature(t *testing.T) {
+	newDS := func() *Dataset {
+		ds := &Dataset{
+			Name: "multi",
+			X0:   NewIntMatrix(6, 4),
+			Features: []Feature{
+				{Name: "a", Domain: 2}, {Name: "b", Domain: 3},
+				{Name: "c", Domain: 4}, {Name: "d", Domain: 5},
+			},
+		}
+		for i := 0; i < 6; i++ {
+			for j := 0; j < 4; j++ {
+				ds.X0.Set(i, j, 1+(i+j)%2)
+			}
+		}
+		return ds
+	}
+	cases := []struct {
+		name string
+		edit func(ds *Dataset)
+		want string
+	}{
+		{
+			// Row-major order meets (1, d) and (2, c) before (4, b).
+			name: "bad codes in several rows and features",
+			edit: func(ds *Dataset) {
+				ds.X0.Set(1, 3, 9)
+				ds.X0.Set(2, 2, 0)
+				ds.X0.Set(4, 1, 7)
+				ds.X0.Set(5, 1, -1)
+			},
+			want: `dataset multi: code 7 out of range [1,3] at row 4 feature "b"`,
+		},
+		{
+			name: "one code just past its domain",
+			edit: func(ds *Dataset) { ds.X0.Set(5, 3, 6) },
+			want: `dataset multi: code 6 out of range [1,5] at row 5 feature "d"`,
+		},
+		{
+			name: "bad code before a zero domain",
+			edit: func(ds *Dataset) {
+				ds.X0.Set(3, 1, 4)
+				ds.Features[2].Domain = 0
+			},
+			want: `dataset multi: code 4 out of range [1,3] at row 3 feature "b"`,
+		},
+		{
+			name: "zero domain before a bad code",
+			edit: func(ds *Dataset) {
+				ds.Features[1].Domain = 0
+				ds.X0.Set(0, 3, 6)
+			},
+			want: `dataset multi: feature "b" has domain 0`,
+		},
+	}
+	for _, tc := range cases {
+		ds := newDS()
+		if err := ds.Validate(); err != nil {
+			t.Fatalf("%s: clean dataset rejected: %v", tc.name, err)
+		}
+		tc.edit(ds)
+		err := ds.Validate()
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestReplicateRows(t *testing.T) {
 	ds, err := FromFrame(testFrame(t), "y", 2, "id")
 	if err != nil {

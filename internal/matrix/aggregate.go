@@ -85,15 +85,6 @@ func RowIndexMax(a *Dense) []int {
 	return out
 }
 
-// ColSumsCSR returns the per-column sums of a CSR matrix.
-func ColSumsCSR(m *CSR) []float64 {
-	out := make([]float64, m.cols)
-	for k, j := range m.colIdx {
-		out[j] += m.val[k]
-	}
-	return out
-}
-
 // CumSum returns the inclusive prefix sums of v, the paper's cumsum.
 func CumSum(v []float64) []float64 {
 	out := make([]float64, len(v))

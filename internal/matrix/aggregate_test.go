@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -44,17 +43,6 @@ func TestEmptyAggregates(t *testing.T) {
 	b := NewDense(2, 0)
 	if got := RowMaxs(b); !reflect.DeepEqual(got, []float64{0, 0}) {
 		t.Errorf("RowMaxs of zero-width = %v, want zeros", got)
-	}
-}
-
-func TestCSRAggregatesMatchDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for trial := 0; trial < 40; trial++ {
-		m := randomCSR(rng, 1+rng.Intn(10), 1+rng.Intn(10), 0.4)
-		d := m.ToDense()
-		if got, want := ColSumsCSR(m), ColSums(d); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: ColSumsCSR = %v, want %v", trial, got, want)
-		}
 	}
 }
 

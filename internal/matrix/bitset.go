@@ -62,3 +62,9 @@ func (cb *ColumnBits) Col(c int) []uint64 {
 	}
 	return cb.bits[c*cb.words : (c+1)*cb.words]
 }
+
+// Packed returns the words of every column in one array, column c at
+// [c*Words(), (c+1)*Words()), aliasing the internal storage. Kernels index it
+// flat where a Col call per word would cost a bounds-checked call. Callers
+// must not mutate the returned slice.
+func (cb *ColumnBits) Packed() []uint64 { return cb.bits }

@@ -106,26 +106,6 @@ func MulCSRT(a, b *CSR) *Dense {
 	return out
 }
 
-// VecMatCSR computes eᵀ·m for a row vector e, returning a slice of length
-// m.Cols. It implements the paper's (eᵀ ⊙ X)ᵀ slice-error aggregation.
-func VecMatCSR(e []float64, m *CSR) []float64 {
-	if len(e) != m.rows {
-		panic(fmt.Sprintf("matrix: VecMatCSR vector length %d vs %d rows", len(e), m.rows))
-	}
-	out := make([]float64, m.cols)
-	for i := 0; i < m.rows; i++ {
-		ei := e[i]
-		if ei == 0 {
-			continue
-		}
-		cols, vals := m.RowEntries(i)
-		for k, j := range cols {
-			out[j] += ei * vals[k]
-		}
-	}
-	return out
-}
-
 // MulCSRVec computes m·v, returning a slice of length m.Rows.
 func MulCSRVec(m *CSR, v []float64) []float64 {
 	if len(v) != m.cols {

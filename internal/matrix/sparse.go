@@ -230,34 +230,6 @@ func (m *CSR) SelectRows(idx []int) *CSR {
 	return &CSR{rows: len(idx), cols: m.cols, rowPtr: rowPtr, colIdx: colIdx, val: val}
 }
 
-// SelectCols returns a new CSR restricted to the given columns; column k of
-// the result is column idx[k] of m. idx must be strictly increasing.
-func (m *CSR) SelectCols(idx []int) *CSR {
-	remap := make(map[int]int, len(idx))
-	prev := -1
-	for k, j := range idx {
-		if j <= prev || j >= m.cols {
-			panic(fmt.Sprintf("matrix: SelectCols indices must be increasing and in range, got %v", idx))
-		}
-		remap[j] = k
-		prev = j
-	}
-	rowPtr := make([]int, m.rows+1)
-	var colIdx []int
-	var val []float64
-	for i := 0; i < m.rows; i++ {
-		cols, vals := m.RowEntries(i)
-		for k, j := range cols {
-			if nj, ok := remap[j]; ok {
-				colIdx = append(colIdx, nj)
-				val = append(val, vals[k])
-			}
-		}
-		rowPtr[i+1] = len(colIdx)
-	}
-	return &CSR{rows: m.rows, cols: len(idx), rowPtr: rowPtr, colIdx: colIdx, val: val}
-}
-
 // Equal reports whether m and o represent the same matrix (shape and values,
 // ignoring explicitly stored zeros).
 func (m *CSR) Equal(o *CSR) bool {

@@ -119,25 +119,6 @@ func TestCSRSelectRows(t *testing.T) {
 	}
 }
 
-func TestCSRSelectCols(t *testing.T) {
-	m := CSRFromDense(NewDenseData(2, 4, []float64{1, 2, 3, 4, 5, 6, 7, 8}))
-	got := m.SelectCols([]int{1, 3})
-	want := NewDenseData(2, 2, []float64{2, 4, 6, 8})
-	if !got.ToDense().Equal(want) {
-		t.Fatalf("SelectCols = %v, want %v", got.ToDense(), want)
-	}
-}
-
-func TestCSRSelectColsRequiresIncreasing(t *testing.T) {
-	m := CSRFromDense(NewDenseData(1, 3, []float64{1, 2, 3}))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-increasing column selection")
-		}
-	}()
-	m.SelectCols([]int{2, 1})
-}
-
 func TestCSRCloneIndependent(t *testing.T) {
 	a := CSRFromDense(NewDenseData(1, 2, []float64{1, 2}))
 	c := a.Clone()

@@ -188,7 +188,7 @@ func TestEndToEnd(t *testing.T) {
 			}
 			cfg.Evaluator = cluster
 		}
-		want, err := core.Run(context.Background(), core.Input{DS: entry.DS, Enc: entry.Enc, E: entry.ErrVec}, cfg)
+		want, err := core.Run(context.Background(), core.Input{DS: entry.DS, E: entry.ErrVec}, cfg)
 		if c, ok := cfg.Evaluator.(*dist.Cluster); ok {
 			c.Close()
 		}

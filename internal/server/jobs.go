@@ -529,7 +529,7 @@ func (s *Server) runJobReal(ctx context.Context, j *job) (*core.Result, error) {
 			cfg.Evaluator = cluster
 		}
 	}
-	in := core.Input{DS: j.snap.DS, Enc: j.snap.Enc, E: j.snap.ErrVec}
+	in := core.Input{DS: j.snap.DS, E: j.snap.ErrVec}
 	if j.spec.Mode == ModeDiff {
 		return core.RunDiff(ctx, in, j.baseSnap.ErrVec, cfg)
 	}

@@ -41,7 +41,7 @@ func elasticReference(t *testing.T, entry *datasetEntry, cfg core.Config) *core.
 		Members: []membership.Member{{ID: "ref", Addr: "ref:0", Incarnation: 1}},
 	})
 	cfg.Evaluator = ref
-	want, err := core.Run(context.Background(), core.Input{DS: entry.DS, Enc: entry.Enc, E: entry.ErrVec}, cfg)
+	want, err := core.Run(context.Background(), core.Input{DS: entry.DS, E: entry.ErrVec}, cfg)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}

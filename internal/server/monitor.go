@@ -93,7 +93,7 @@ func (s *Server) runMonitor(j *job) {
 	cfg.Metrics = s.cfg.Metrics
 	cfg.OnLevel = j.events.addLevel
 
-	inc, err := core.NewIncremental(j.snap.Enc, j.snap.DS.Features, j.snap.ErrVec, cfg)
+	inc, err := core.NewIncremental(j.snap.DS, j.snap.Enc, j.snap.ErrVec, cfg)
 	if err != nil {
 		s.finishJob(j, nil, err)
 		return
@@ -147,7 +147,7 @@ func (s *Server) runMonitor(j *job) {
 			// The bounded log evicted a needed record (or a delta failed
 			// to apply): rebuild from the current snapshot. The memo is
 			// lost but correctness is not — the next Run scans fresh.
-			inc, err = core.NewIncremental(cur.Enc, cur.DS.Features, cur.ErrVec, cfg)
+			inc, err = core.NewIncremental(cur.DS, cur.Enc, cur.ErrVec, cfg)
 			if err != nil {
 				s.finishJob(j, nil, err)
 				return

@@ -134,7 +134,7 @@ func (d *datasetEntry) appendRows(rows [][]string, errs []float64, at time.Time)
 	errVec := make([]float64, 0, start+len(errs))
 	errVec = append(append(errVec, d.ErrVec...), errs...)
 	d.DS, d.Enc, d.ErrVec = res.DS, res.Enc, errVec
-	d.Sig = core.DataSignature(res.Enc, errVec, nil)
+	d.Sig = core.DataSignature(res.DS, errVec, nil)
 	d.Gen++
 	d.genEnd = append(d.genEnd, res.Enc.X.Rows())
 	d.genAt = append(d.genAt, at)
@@ -352,7 +352,7 @@ func finishEntry(ds *frame.Dataset, enc *frame.Encoding, errVec []float64, name,
 	if err := core.ValidateVectors(errVec, nil); err != nil {
 		return nil, fmt.Errorf("server: error vector: %w", err)
 	}
-	sig := core.DataSignature(enc, errVec, nil)
+	sig := core.DataSignature(ds, errVec, nil)
 	id := datasetID(sig)
 	if name == "" {
 		name = id

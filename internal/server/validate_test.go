@@ -56,23 +56,23 @@ func TestInvalidErrorsRejectedAtEveryEntry(t *testing.T) {
 		feed func(v float64) error
 	}{
 		{"core.Run", func(v float64) error {
-			_, err := core.Run(ctx, core.Input{DS: ds, Enc: enc, E: withBad(v)}, cfg)
+			_, err := core.Run(ctx, core.Input{DS: ds, E: withBad(v)}, cfg)
 			return err
 		}},
 		{"core.RunDiff/new", func(v float64) error {
-			_, err := core.RunDiff(ctx, core.Input{DS: ds, Enc: enc, E: withBad(v)}, good, cfg)
+			_, err := core.RunDiff(ctx, core.Input{DS: ds, E: withBad(v)}, good, cfg)
 			return err
 		}},
 		{"core.RunDiff/base", func(v float64) error {
-			_, err := core.RunDiff(ctx, core.Input{DS: ds, Enc: enc, E: good}, withBad(v), cfg)
+			_, err := core.RunDiff(ctx, core.Input{DS: ds, E: good}, withBad(v), cfg)
 			return err
 		}},
 		{"core.NewIncremental", func(v float64) error {
-			_, err := core.NewIncremental(enc, ds.Features, withBad(v), cfg)
+			_, err := core.NewIncremental(ds, enc, withBad(v), cfg)
 			return err
 		}},
 		{"Incremental.Append", func(v float64) error {
-			inc, err := core.NewIncremental(enc, ds.Features, good, cfg)
+			inc, err := core.NewIncremental(ds, enc, good, cfg)
 			if err != nil {
 				return fmt.Errorf("valid base rejected: %w", err)
 			}
